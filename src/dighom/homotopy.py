@@ -9,15 +9,18 @@ of intermediate frames.
 
 The search state space grows exponentially with the domain, so every
 entry point takes explicit caps and reports "cap-exceeded" rather than
-guessing.  A ``HomotopySession`` adds memoization: it classifies whole
-map spaces into homotopy components once and answers later queries by
-table lookup, which is what makes the invariant solver practical.
+guessing.  A ``HomotopySession`` adds memoization: for small domains it
+partitions a whole map space into homotopy classes once, by union-find
+over single-point and frame moves, and answers later queries by table
+lookup, which is what makes the invariant solver practical.  A space with
+more maps than the visited-maps cap is not partitioned; the session then
+closes only the component of each queried map, by frame BFS.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -469,21 +472,24 @@ def path_space_with_fibration(img, z, caps=DEFAULT_CAPS):
 class HomotopySession:
     """Caches homotopy component structure across many queries.
 
-    For small domains the session closes whole components of the map space
-    once and answers queries by comparing canonical roots.  For larger
-    domains it falls back to directed search: a single-point-move A* that
-    can only prove yes cheaply, then a full frame BFS within caps.
+    For domains of up to ``FLAT_CLASS_LIMIT`` points the first query about
+    a (domain, codomain) pair partitions that whole map space into its
+    homotopy classes: union-find over single-point moves, then over frame
+    moves from the maps outside the largest class.  Later queries compare
+    canonical roots, and the union edges form a spanning forest that
+    certificates are read from.  When the map space has more maps than the
+    visited-maps cap, only the queried component is closed, by frame BFS.
+    For larger domains the session uses directed search: a single-point-move
+    A* that can only prove yes cheaply, then a frame BFS within caps.
 
     Not thread-safe; share one session per computation, not across threads.
     """
 
     def __init__(self, caps=DEFAULT_CAPS):
         self.caps = caps
-        self.caps_hit = False
         self._graphs = {}
         self._roots = {}
-        self._parents = {}
-        self._starts = {}
+        self._forest = {}
         self._contract = {}
         self._dist = {}
         self._intern = {}
@@ -533,54 +539,91 @@ class HomotopySession:
         if got is not None:
             return got
         mg = self._graph(domain, codomain)
-        parents = {values: None}
-        queue = deque([values])
-        counter = [0]
-        budget = self.caps.max_visited_maps
-        explored = 0
-        try:
-            while queue:
-                cur = queue.popleft()
-                explored += 1
-                if explored > budget:
-                    self.caps_hit = True
-                    return None
-                for nxt in mg.frame_neighbors(cur, counter, budget, known=parents):
-                    if nxt not in parents:
-                        parents[nxt] = cur
-                        queue.append(nxt)
-        except CapExceeded:
-            self.caps_hit = True
+        forest = self._forest.get(key)
+        if forest is None:
+            forest = self._partition(mg, roots)
+            self._forest[key] = forest
+            got = roots.get(values)
+            if got is not None:
+                return got
+        # The map space overran the cap: close the queried component only.
+        _, parents, _, capped = _frame_bfs(mg, values, (), self.caps)
+        if capped:
             return None
         root = min(parents)
-        store_parents = self._parents.setdefault(key, {})
-        store_parents.update(parents)
-        starts = self._starts.setdefault(key, {})
-        for state in parents:
-            roots[state] = root
-            starts[state] = values
+        for state, parent in parents.items():
+            if state not in roots:
+                roots[state] = root
+                forest[state] = parent
         return root
 
-    def classify_map_space(self, domain, codomain):
-        """Every continuous map with its component root, in lex order.
+    def _partition(self, mg, roots):
+        """Split the whole map space into homotopy classes, filling ``roots``.
 
-        Returns (values_list, root_list); raises CapExceeded when either
-        the enumeration or a closure overruns its cap.
+        Single-point moves are frame moves, so union-find over them gives
+        classes no coarser than the true ones.  Frame moves are then
+        followed only from maps not yet in the largest class.  The frame
+        relation is symmetric, so an edge skipped at both of its ends joins
+        two maps already in the largest class and would merge nothing.
+        Returns the union edges as a parent forest rooted at each class
+        root; returns an empty forest, leaving ``roots`` untouched, when
+        the space has more maps than the visited-maps cap.
         """
-        values_list = [
-            f.values
-            for f in enumerate_continuous_maps(
-                domain, codomain, cap=self.caps.max_probe_maps
-            )
-        ]
-        root_list = []
-        for v in values_list:
-            root = self.class_root(domain, codomain, v)
-            if root is None:
-                raise CapExceeded("component closure capped during classification",
-                                  cap_name="max_visited_maps")
-            root_list.append(root)
-        return values_list, root_list
+        budget = self.caps.max_visited_maps
+        try:
+            space = [f.values for f in enumerate_continuous_maps(
+                mg.domain, mg.codomain, cap=budget)]
+        except CapExceeded:
+            return {}
+        index = {v: i for i, v in enumerate(space)}
+        up = list(range(len(space)))
+        edges = []
+
+        def find(i):
+            top = i
+            while up[top] != top:
+                top = up[top]
+            while up[i] != top:
+                up[i], i = top, up[i]
+            return top
+
+        def union(i, j):
+            a, b = find(i), find(j)
+            if a != b:
+                if space[b] < space[a]:
+                    a, b = b, a
+                up[b] = a
+                edges.append((i, j))
+
+        for i, v in enumerate(space):
+            for w in mg.single_point_moves(v):
+                union(i, index[w])
+        sizes = Counter(find(i) for i in range(len(space)))
+        largest = max(sizes, key=sizes.get)
+        counter = [0]
+        for i, v in enumerate(space):
+            if find(i) != find(largest):
+                for w in mg.frame_neighbors(v, counter, budget, known=index):
+                    union(i, index[w])
+
+        links = defaultdict(list)
+        for i, j in edges:
+            links[i].append(j)
+            links[j].append(i)
+        forest = {}
+        for i, v in enumerate(space):
+            top = find(i)
+            roots[v] = space[top]
+            if top == i:
+                forest[v] = None
+                stack = [i]
+                while stack:
+                    a = stack.pop()
+                    for b in links[a]:
+                        if space[b] not in forest:
+                            forest[space[b]] = space[a]
+                            stack.append(b)
+        return forest
 
     def class_of(self, f):
         """Interned homotopy class id; componentwise over strong products."""
@@ -602,65 +645,24 @@ class HomotopySession:
             return None
         return self._intern_id(("flat", f.domain.key, cod.key, root))
 
-    # -- contractibility with a reusable contraction
+    # -- contractibility
 
     def contractible(self, img):
-        got = self._contract.get(img.key)
-        if got is not None:
-            return got[0]
+        """Whether the identity of img is nullhomotopic; None when capped.
+        A full normal product contracts exactly when every factor does."""
+        if img.key in self._contract:
+            return self._contract[img.key]
         if img.is_np_full and img.factors is not None and len(img.factors) > 1:
-            result = self._contractible_product(img)
-            self._contract[img.key] = result
-            return result[0]
-        ident = identity_map(img)
-        verdict = is_nullhomotopic(ident, self.caps)
-        if verdict.decided == CAP:
-            self.caps_hit = True
-            self._contract[img.key] = (None, None)
-            return None
-        if verdict.decided == YES:
-            frames = tuple(fr.values for fr in verdict.certificate.frames)
-            self._contract[img.key] = (True, frames)
-            return True
-        self._contract[img.key] = (False, None)
-        return False
-
-    def _contractible_product(self, img):
-        """A full normal product contracts exactly when every factor does;
-        factor contractions zip into a product contraction frame by frame."""
-        factor_frames = []
-        for factor in img.factors:
-            sub = self.contractible(factor)
-            if sub is None:
-                return (None, None)
-            if not sub:
-                return (False, None)
-            factor_frames.append(self._contract[factor.key][1])
-        depth = max(len(fr) for fr in factor_frames)
-        padded = [fr + (fr[-1],) * (depth - len(fr)) for fr in factor_frames]
-        pts = img.points
-        offs = img._offsets
-        pos = [
-            {p: i for i, p in enumerate(factor.points)}
-            for factor in img.factors
-        ]
-        frames = []
-        for t in range(depth):
-            vals = []
-            for p in pts:
-                parts = []
-                for k in range(len(img.factors)):
-                    a, b = offs[k]
-                    parts.append(padded[k][t][pos[k][p[a:b]]])
-                vals.append(tuple(x for part in parts for x in part))
-            frames.append(tuple(vals))
-        return (True, tuple(frames))
-
-    def contraction_frames(self, img):
-        """Value tuples of an identity-to-constant homotopy, if contractible."""
-        if self.contractible(img):
-            return self._contract[img.key][1]
-        return None
+            result = True
+            for factor in img.factors:
+                result = self.contractible(factor)
+                if not result:
+                    break
+        else:
+            decided = is_nullhomotopic(identity_map(img), self.caps).decided
+            result = None if decided == CAP else decided == YES
+        self._contract[img.key] = result
+        return result
 
     # -- directed search for larger domains
 
@@ -699,22 +701,19 @@ class HomotopySession:
                         heapq.heappush(heap, (hn, nxt))
         return None, parents, explored, False
 
-    def _decide_big(self, f, g):
-        """Homotopy for domains too large for full classification."""
-        mg = self._graph(f.domain, f.codomain)
-        budget = self.caps.max_visited_maps
-        hit, parents, explored, capped = self._astar_single_point(
-            mg, f.values, {g.values}, max(budget // 4, 1000)
-        )
+    def _astar_budget(self):
+        return max(self.caps.max_visited_maps // 4, 1000)
+
+    def _reach(self, mg, start, targets):
+        """Whether a frame path leads from start into targets, for domains
+        too large to classify: True, False, or None when capped."""
+        hit = self._astar_single_point(mg, start, targets, self._astar_budget())[0]
         if hit is not None:
-            return True, _chain_to(parents, hit)
-        hit, parents, explored, capped = _frame_bfs(mg, f.values, {g.values}, self.caps)
+            return True
+        hit, _, _, capped = _frame_bfs(mg, start, targets, self.caps)
         if hit is not None:
-            return True, _chain_to(parents, hit)
-        if capped:
-            self.caps_hit = True
-            return None, None
-        return False, None
+            return True
+        return None if capped else False
 
     # -- the public queries
 
@@ -752,8 +751,7 @@ class HomotopySession:
             # f's whole component is closed, so membership is a lookup.
             roots = self._roots[(f.domain.key, cod.key)]
             return roots.get(g.values) == rf
-        decided, _ = self._decide_big(f, g)
-        return decided
+        return self._reach(self._graph(f.domain, cod), f.values, {g.values})
 
     def nullhomotopic(self, f):
         comps = f.codomain.components()
@@ -791,46 +789,37 @@ class HomotopySession:
             # must already appear there.
             roots = self._roots[(f.domain.key, cod.key)]
             return any(roots.get(t) == rf for t in targets)
-        mg = self._graph(f.domain, cod)
-        hit, parents, explored, capped = self._astar_single_point(
-            mg, f.values, targets, max(self.caps.max_visited_maps // 4, 1000)
-        )
-        if hit is not None:
-            return True
-        hit, parents, explored, capped = _frame_bfs(mg, f.values, targets, self.caps)
-        if hit is not None:
-            return True
-        if capped:
-            self.caps_hit = True
-            return None
-        return False
+        return self._reach(self._graph(f.domain, cod), f.values, targets)
 
     def certificate_between(self, f, g):
-        """A verifiable certificate for a yes answer, not necessarily shortest."""
+        """A verifiable certificate for a yes answer, not necessarily
+        shortest; None when the maps are not homotopic or caps prevented a
+        decision."""
+        _validate_parallel(f, g)
         if f.values == g.values:
             return HomotopyCertificate((f,))
         cod = f.codomain
         if len(f.domain) <= FLAT_CLASS_LIMIT and not (cod.is_np_full and cod.factors):
             rf = self.class_root(f.domain, cod, f.values)
             rg = self.class_root(f.domain, cod, g.values)
-            if rf is not None and rf == rg:
-                key = (f.domain.key, cod.key)
-                parents = self._parents[key]
-                starts = self._starts[key]
-                if starts[f.values] == starts[g.values]:
-                    # Both parent chains lead back to the same BFS origin;
-                    # walk f up to it, then down to g.
-                    up = _chain_to(parents, f.values)
-                    down = _chain_to(parents, g.values)
-                    chain = up[::-1] + down[1:]
-                    return _certificate_from_chain(f.domain, cod, chain)
+            if rf is not None and rg is not None:
+                if rf != rg:
+                    return None
+                # One tree spans each class: walk f up to its top, then down to g.
+                forest = self._forest[(f.domain.key, cod.key)]
+                chain = _chain_to(forest, f.values)[::-1] + _chain_to(forest, g.values)[1:]
+                return _certificate_from_chain(f.domain, cod, chain)
         verdict = are_homotopic(f, g, self.caps)
-        if verdict.decided == YES:
+        if verdict.decided != CAP:
             return verdict.certificate
-        decided, chain = self._decide_big(f, g)
-        if decided and chain:
-            return _certificate_from_chain(f.domain, cod, chain)
-        return None
+        # The frame BFS overran its cap; an A* over single-point moves may
+        # still find a path that the breadth-first order did not reach.
+        mg = self._graph(f.domain, cod)
+        hit, parents, _, _ = self._astar_single_point(
+            mg, f.values, {g.values}, self._astar_budget())
+        if hit is None:
+            return None
+        return _certificate_from_chain(f.domain, cod, _chain_to(parents, hit))
 
 
 # --- certificate JSON ----------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dighom import (
     DEFAULT_CAPS,
@@ -276,3 +277,78 @@ def test_session_handles_product_codomain(i1):
     a = constant_map(i1, prod, (0, 0))
     b = constant_map(i1, prod, (1, 1))
     assert session.homotopic(a, b) is True
+
+
+_I2 = interval_image(0, 2, name="I2")
+_C4 = build_image(SQUARE, CP(1), name="C4")
+_R8 = build_image(RING8, CP(1), name="R8")
+_SMALL_PAIRS = [(dom, cod) for dom in (_I2, _C4, _R8) for cod in (_I2, _C4, _R8)]
+_RIGID_R8 = [ring_rotation(_R8, k) for k in range(8)] + [
+    compose(ring_reflection(_R8), ring_rotation(_R8, k)) for k in range(8)]
+
+
+@st.composite
+def _small_parallel_maps(draw):
+    dom, cod = draw(st.sampled_from(_SMALL_PAIRS))
+
+    def one_map():
+        if dom is _R8 and cod is _R8 and draw(st.booleans()):
+            return draw(st.sampled_from(_RIGID_R8))
+        return random_continuous_map(dom, cod, random.Random(draw(st.integers(0, 2**32))))
+
+    return one_map(), one_map()
+
+
+def _reference_homotopic(f, g):
+    """The plain frame BFS, started from a non-null map when there is one:
+    a null map's component can hold thousands of maps, a rigid map's few.
+    Two null maps into a connected image are homotopic through constants."""
+    f_null = is_nullhomotopic(f).decided
+    g_null = is_nullhomotopic(g).decided
+    assert CAP not in (f_null, g_null)
+    if f_null == YES and g_null == YES:
+        return True
+    start, end = (f, g) if f_null == NO else (g, f)
+    verdict = are_homotopic(start, end)
+    assert verdict.decided != CAP
+    return verdict.decided == YES
+
+
+@pytest.fixture(scope="module")
+def shared_session():
+    # Shared by every example, as the solver shares one session: each small
+    # map space is partitioned once and later examples read its classes.
+    return HomotopySession(DEFAULT_CAPS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_small_parallel_maps())
+def test_session_partition_matches_reference_search(shared_session, pair):
+    f, g = pair
+    session = shared_session
+    expected = _reference_homotopic(f, g)
+    assert session.homotopic(f, g) is expected
+    assert session.nullhomotopic(f) is (is_nullhomotopic(f).decided == YES)
+    cert = session.certificate_between(f, g)
+    assert (cert is not None) is expected
+    if cert is not None:
+        check = verify_certificate(cert, f, g)
+        assert check.ok, check.reason
+
+
+def test_session_over_cap_closes_queried_component(r8):
+    # 100 visited maps is below the 8 872 continuous self-maps of R8, so the
+    # space is not partitioned; the 8 rotations still form a closable
+    # component, while a null map's component overruns the cap.
+    session = HomotopySession(SearchCaps(max_visited_maps=100))
+    ident = identity_map(r8)
+    rot = ring_rotation(r8, 3)
+    assert session.homotopic(ident, rot) is True
+    assert len(session._roots[(r8.key, r8.key)]) == 8
+    assert session.homotopic(ident, ring_reflection(r8)) is False
+    assert session.nullhomotopic(ident) is False
+    cert = session.certificate_between(ident, rot)
+    assert cert is not None and verify_certificate(cert, ident, rot).ok
+    null = constant_map(r8, r8, RING8[0])
+    assert session.class_root(r8, r8, null.values) is None
+    assert session.homotopic(null, constant_map(r8, r8, RING8[4])) is None

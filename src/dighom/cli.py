@@ -238,9 +238,5 @@ def main(argv=None):
         return EXIT_UNDECIDED
 
 
-def console_main():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

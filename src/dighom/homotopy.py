@@ -20,8 +20,9 @@ closes only the component of each queried map, by frame BFS.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceeded, ValidationError
@@ -33,7 +34,6 @@ from .maps import (
     continuity_violation,
     enumerate_continuous_maps,
     identity_map,
-    is_continuous,
 )
 from . import lattice
 from . import maps as maps_mod
@@ -222,10 +222,6 @@ class _MapGraph:
                     yield values[:i] + (w,) + values[i + 1 :]
 
 
-def _values_of(f):
-    return f.values
-
-
 def _map_from_values(domain, codomain, values):
     return DigitalMap(domain, codomain, dict(zip(domain.points, values)))
 
@@ -274,53 +270,41 @@ def _certificate_from_chain(domain, codomain, chain):
     return HomotopyCertificate(frames)
 
 
-def _component_prefilter(f, g):
-    """Each point must land in one codomain component under both maps."""
-    comp = {}
-    for i, c in enumerate(f.codomain.components()):
-        for x in c:
-            comp[x] = i
-    for p in f.domain.points:
-        if comp[f.mapping[p]] != comp[g.mapping[p]]:
-            return p
+def _component_mismatch(f, g):
+    """Why f cannot reach g, or with g None any constant map, because some
+    image points lie in different codomain components; None if none do."""
+    comp = f.codomain.component_id
+    if g is None:
+        if len({comp(v) for v in f.values}) > 1:
+            return "image spans several codomain components"
+        return None
+    for p, a, b in zip(f.domain.points, f.values, g.values):
+        if comp(a) != comp(b):
+            return f"images of {p!r} lie in different codomain components"
     return None
 
 
-def are_homotopic(f, g, caps=DEFAULT_CAPS):
-    """Decide homotopy by BFS from f; a yes carries a shortest certificate."""
-    _validate_parallel(f, g)
-    if f.values == g.values:
-        return HomotopyVerdict(YES, HomotopyCertificate((f,)), 0)
-    bad = _component_prefilter(f, g)
-    if bad is not None:
-        return HomotopyVerdict(
-            NO, None, 0, f"images of {bad!r} lie in different codomain components"
-        )
-    mg = _MapGraph(f.domain, f.codomain)
-    hit, parents, explored, capped = _frame_bfs(mg, f.values, {g.values}, caps)
-    if hit is not None:
-        cert = _certificate_from_chain(f.domain, f.codomain, _chain_to(parents, hit))
-        return HomotopyVerdict(YES, cert, explored)
-    if capped:
-        return HomotopyVerdict(CAP, None, explored, "visited-maps cap exceeded")
-    return HomotopyVerdict(NO, None, explored, "component of the first map exhausted")
+def _constant_targets(f):
+    """Value tuples of the constant maps into the component of f's image."""
+    cod = f.codomain
+    n = len(f.domain)
+    return {(x,) * n for x in cod.components()[cod.component_id(f.values[0])]}
 
 
-def is_nullhomotopic(f, caps=DEFAULT_CAPS):
-    """Decide whether f is homotopic to some constant map (multi-target BFS)."""
-    bad = continuity_violation(f)
-    if bad is not None:
-        raise ValidationError(f"map is not continuous, e.g. on edge {bad!r}")
-    comps = f.codomain.components()
-    comp = {}
-    for i, c in enumerate(comps):
-        for x in c:
-            comp[x] = i
-    image_comps = {comp[v] for v in f.values}
-    if len(image_comps) > 1:
-        return HomotopyVerdict(NO, None, 0, "image spans several codomain components")
-    n = len(f.domain.points)
-    targets = {tuple([x] * n) for x in comps[next(iter(image_comps))]}
+def _factor_maps(f):
+    """The coordinate maps of f into the factors of its full-product codomain."""
+    cod = f.codomain
+    for factor, (a, b) in zip(cod.factors, cod._offsets):
+        yield _map_from_values(f.domain, factor, [v[a:b] for v in f.values])
+
+
+def _reference_search(f, g, caps):
+    """Plain frame BFS from f to g, or with g None to any constant map in
+    f's component; a yes carries a shortest certificate."""
+    reason = _component_mismatch(f, g)
+    if reason is not None:
+        return HomotopyVerdict(NO, None, 0, reason)
+    targets = {g.values} if g is not None else _constant_targets(f)
     if f.values in targets:
         return HomotopyVerdict(YES, HomotopyCertificate((f,)), 0)
     mg = _MapGraph(f.domain, f.codomain)
@@ -330,7 +314,23 @@ def is_nullhomotopic(f, caps=DEFAULT_CAPS):
         return HomotopyVerdict(YES, cert, explored)
     if capped:
         return HomotopyVerdict(CAP, None, explored, "visited-maps cap exceeded")
-    return HomotopyVerdict(NO, None, explored, "no constant map in the component")
+    if g is None:
+        return HomotopyVerdict(NO, None, explored, "no constant map in the component")
+    return HomotopyVerdict(NO, None, explored, "component of the first map exhausted")
+
+
+def are_homotopic(f, g, caps=DEFAULT_CAPS):
+    """Decide homotopy by BFS from f; a yes carries a shortest certificate."""
+    _validate_parallel(f, g)
+    return _reference_search(f, g, caps)
+
+
+def is_nullhomotopic(f, caps=DEFAULT_CAPS):
+    """Decide whether f is homotopic to some constant map (multi-target BFS)."""
+    bad = continuity_violation(f)
+    if bad is not None:
+        raise ValidationError(f"map is not continuous, e.g. on edge {bad!r}")
+    return _reference_search(f, None, caps)
 
 
 def is_contractible(img, caps=DEFAULT_CAPS):
@@ -339,70 +339,15 @@ def is_contractible(img, caps=DEFAULT_CAPS):
 
 
 def find_homotopy_inverse(f, caps=DEFAULT_CAPS):
-    """Search for g with g*f and f*g homotopic to the identities.
-
-    Candidates are enumerated in lexicographic order of their value tuples,
-    so the returned witness is the lexicographically first one.  Raises
-    CapExceeded when enumeration or any homotopy query hits its cap.
-    """
-    session = HomotopySession(caps)
-    id_dom = identity_map(f.domain)
-    id_cod = identity_map(f.codomain)
-    for g in enumerate_continuous_maps(f.codomain, f.domain, cap=caps.max_probe_maps):
-        left = session.homotopic(compose(g, f), id_dom)
-        if left is None:
-            raise CapExceeded("homotopy query capped during inverse search",
-                              cap_name="max_visited_maps")
-        if not left:
-            continue
-        right = session.homotopic(compose(f, g), id_cod)
-        if right is None:
-            raise CapExceeded("homotopy query capped during inverse search",
-                              cap_name="max_visited_maps")
-        if right:
-            return g
-    return None
+    """Search for g with g*f and f*g homotopic to the identities; see
+    ``HomotopySession.homotopy_inverse``."""
+    return HomotopySession(caps).homotopy_inverse(f)
 
 
 def are_m_homotopic(f, g, family, caps=DEFAULT_CAPS):
-    """Whether f*phi and g*phi are homotopic for every probe map phi.
-
-    Probes that are themselves contractible only constrain components, so
-    they are handled by a pointwise check; the rest are enumerated.
-    """
-    _validate_parallel(f, g)
-    session = HomotopySession(caps)
-    checked = 0
-    comp = {}
-    for i, c in enumerate(f.codomain.components()):
-        for x in c:
-            comp[x] = i
-    for probe in family.complexes:
-        pimg = probe.image
-        contractible = session.contractible(pimg)
-        if contractible is None:
-            return MHomotopyVerdict(CAP, probe.name, None, checked)
-        if contractible:
-            # A contractible probe sees only where each point lands; the two
-            # composites are homotopic iff the images sit in one component.
-            for x in f.domain.points:
-                checked += 1
-                if comp[f.mapping[x]] != comp[g.mapping[x]]:
-                    witness = constant_map(pimg, f.domain, x)
-                    return MHomotopyVerdict(NO, probe.name, witness, checked)
-            continue
-        cap = family.max_maps if family.max_maps else caps.max_probe_maps
-        try:
-            for phi in enumerate_continuous_maps(pimg, f.domain, cap=cap, order="search"):
-                checked += 1
-                verdict = session.homotopic(compose(f, phi), compose(g, phi))
-                if verdict is None:
-                    return MHomotopyVerdict(CAP, probe.name, phi, checked)
-                if not verdict:
-                    return MHomotopyVerdict(NO, probe.name, phi, checked)
-        except CapExceeded:
-            return MHomotopyVerdict(CAP, probe.name, None, checked)
-    return MHomotopyVerdict(YES, None, None, checked)
+    """Whether f*phi and g*phi are homotopic for every probe map phi; see
+    ``HomotopySession.m_homotopic``."""
+    return HomotopySession(caps).m_homotopic(f, g, family)
 
 
 # --- function and path spaces -------------------------------------------------
@@ -481,6 +426,14 @@ class HomotopySession:
     visited-maps cap, only the queried component is closed, by frame BFS.
     For larger domains the session uses directed search: a single-point-move
     A* that can only prove yes cheaply, then a frame BFS within caps.
+
+    ``homotopic`` and ``nullhomotopic`` are both answered by ``_decide``:
+    does f reach one target map, or any constant in its component?  It
+    checks components, splits full-product codomains into their factors,
+    accepts at once when the codomain contracts, and otherwise reads the
+    class table or searches.  ``homotopy_inverse`` and ``m_homotopic`` run
+    many such queries on the one session, so each map space is classified
+    once per harness.
 
     Not thread-safe; share one session per computation, not across threads.
     """
@@ -628,13 +581,9 @@ class HomotopySession:
     def class_of(self, f):
         """Interned homotopy class id; componentwise over strong products."""
         cod = f.codomain
-        if cod.is_np_full and cod.factors is not None:
+        if cod.is_np_full:
             ids = []
-            offs = cod._offsets
-            for k, factor in enumerate(cod.factors):
-                a, b = offs[k]
-                sliced = tuple(v[a:b] for v in f.values)
-                sub = DigitalMap(f.domain, factor, dict(zip(f.domain.points, sliced)))
+            for sub in _factor_maps(f):
                 cid = self.class_of(sub)
                 if cid is None:
                     return None
@@ -652,7 +601,7 @@ class HomotopySession:
         A full normal product contracts exactly when every factor does."""
         if img.key in self._contract:
             return self._contract[img.key]
-        if img.is_np_full and img.factors is not None and len(img.factors) > 1:
+        if img.is_np_full and len(img.factors) > 1:
             result = True
             for factor in img.factors:
                 result = self.contractible(factor)
@@ -715,81 +664,48 @@ class HomotopySession:
             return True
         return None if capped else False
 
+    # -- the one decision routine
+
+    def _decide(self, f, g):
+        """Whether frames lead from f to g, or with g None to some constant
+        map: True, False, or None when caps prevented a decision."""
+        if g is not None and f.values == g.values:
+            return True
+        if _component_mismatch(f, g) is not None:
+            return False
+        cod = f.codomain
+        if cod.is_np_full:
+            # Both target sets are products of per-factor sets, so f reaches
+            # one exactly when every coordinate map reaches its factor's.
+            others = _factor_maps(g) if g is not None else itertools.repeat(None)
+            for fk, gk in zip(_factor_maps(f), others):
+                sub = self._decide(fk, gk)
+                if not sub:
+                    return sub
+            return True
+        if len(cod) <= 64 and self.contractible(cod):
+            return True
+        targets = {g.values} if g is not None else _constant_targets(f)
+        if len(f.domain) <= FLAT_CLASS_LIMIT:
+            root = self.class_root(f.domain, cod, f.values)
+            if root is None:
+                return None
+            # f's whole component is closed, so membership is a lookup.
+            roots = self._roots[(f.domain.key, cod.key)]
+            return any(roots.get(t) == root for t in targets)
+        return self._reach(self._graph(f.domain, cod), f.values, targets)
+
     # -- the public queries
 
     def homotopic(self, f, g):
         """True, False, or None when caps prevented a decision."""
         if f.domain != g.domain or f.codomain != g.codomain:
             raise ValidationError("maps must share domain and codomain")
-        if f.values == g.values:
-            return True
-        if _component_prefilter(f, g) is not None:
-            return False
-        cod = f.codomain
-        if cod.is_np_full and cod.factors is not None:
-            offs = cod._offsets
-            for k, factor in enumerate(cod.factors):
-                a, b = offs[k]
-                fk = DigitalMap(f.domain, factor,
-                                dict(zip(f.domain.points, (v[a:b] for v in f.values))))
-                gk = DigitalMap(g.domain, factor,
-                                dict(zip(g.domain.points, (v[a:b] for v in g.values))))
-                sub = self.homotopic(fk, gk)
-                if sub is None:
-                    return None
-                if not sub:
-                    return False
-            return True
-        if len(cod) <= 64:
-            c = self.contractible(cod)
-            if c:
-                return True
-        if len(f.domain) <= FLAT_CLASS_LIMIT:
-            rf = self.class_root(f.domain, cod, f.values)
-            if rf is None:
-                return None
-            # f's whole component is closed, so membership is a lookup.
-            roots = self._roots[(f.domain.key, cod.key)]
-            return roots.get(g.values) == rf
-        return self._reach(self._graph(f.domain, cod), f.values, {g.values})
+        return self._decide(f, g)
 
     def nullhomotopic(self, f):
-        comps = f.codomain.components()
-        comp = {}
-        for i, c in enumerate(comps):
-            for x in c:
-                comp[x] = i
-        image_comps = {comp[v] for v in f.values}
-        if len(image_comps) > 1:
-            return False
-        cod = f.codomain
-        if cod.is_np_full and cod.factors is not None:
-            offs = cod._offsets
-            for k, factor in enumerate(cod.factors):
-                a, b = offs[k]
-                fk = DigitalMap(f.domain, factor,
-                                dict(zip(f.domain.points, (v[a:b] for v in f.values))))
-                sub = self.nullhomotopic(fk)
-                if sub is None:
-                    return None
-                if not sub:
-                    return False
-            return True
-        if len(cod) <= 64:
-            c = self.contractible(cod)
-            if c:
-                return True
-        n = len(f.domain.points)
-        targets = {tuple([x] * n) for x in comps[next(iter(image_comps))]}
-        if len(f.domain) <= FLAT_CLASS_LIMIT:
-            rf = self.class_root(f.domain, cod, f.values)
-            if rf is None:
-                return None
-            # f's whole component is closed; any constant homotopic to f
-            # must already appear there.
-            roots = self._roots[(f.domain.key, cod.key)]
-            return any(roots.get(t) == rf for t in targets)
-        return self._reach(self._graph(f.domain, cod), f.values, targets)
+        """Whether f is homotopic to a constant map; None when capped."""
+        return self._decide(f, None)
 
     def certificate_between(self, f, g):
         """A verifiable certificate for a yes answer, not necessarily
@@ -799,7 +715,7 @@ class HomotopySession:
         if f.values == g.values:
             return HomotopyCertificate((f,))
         cod = f.codomain
-        if len(f.domain) <= FLAT_CLASS_LIMIT and not (cod.is_np_full and cod.factors):
+        if len(f.domain) <= FLAT_CLASS_LIMIT and not cod.is_np_full:
             rf = self.class_root(f.domain, cod, f.values)
             rg = self.class_root(f.domain, cod, g.values)
             if rf is not None and rg is not None:
@@ -820,6 +736,65 @@ class HomotopySession:
         if hit is None:
             return None
         return _certificate_from_chain(f.domain, cod, _chain_to(parents, hit))
+
+    # -- harness queries
+
+    def homotopy_inverse(self, f):
+        """Search for g with g*f and f*g homotopic to the identities.
+
+        Candidates are enumerated in lexicographic order of their value
+        tuples, so the returned witness is the lexicographically first one.
+        Raises CapExceeded when enumeration or any homotopy query hits its
+        cap.
+        """
+        id_dom = identity_map(f.domain)
+        id_cod = identity_map(f.codomain)
+        for g in enumerate_continuous_maps(f.codomain, f.domain,
+                                           cap=self.caps.max_probe_maps):
+            left = self.homotopic(compose(g, f), id_dom)
+            right = left and self.homotopic(compose(f, g), id_cod)
+            if left is None or right is None:
+                raise CapExceeded("homotopy query capped during inverse search",
+                                  cap_name="max_visited_maps")
+            if right:
+                return g
+        return None
+
+    def m_homotopic(self, f, g, family):
+        """Whether f*phi and g*phi are homotopic for every probe map phi.
+
+        Probes that are themselves contractible only constrain components,
+        so they are handled by a pointwise check; the rest are enumerated.
+        """
+        _validate_parallel(f, g)
+        checked = 0
+        comp = f.codomain.component_id
+        for probe in family.complexes:
+            pimg = probe.image
+            contractible = self.contractible(pimg)
+            if contractible is None:
+                return MHomotopyVerdict(CAP, probe.name, None, checked)
+            if contractible:
+                # A contractible probe sees only where each point lands; the
+                # two composites are homotopic iff the images share a component.
+                for x in f.domain.points:
+                    checked += 1
+                    if comp(f.mapping[x]) != comp(g.mapping[x]):
+                        witness = constant_map(pimg, f.domain, x)
+                        return MHomotopyVerdict(NO, probe.name, witness, checked)
+                continue
+            cap = family.max_maps if family.max_maps else self.caps.max_probe_maps
+            try:
+                for phi in enumerate_continuous_maps(pimg, f.domain, cap=cap, order="search"):
+                    checked += 1
+                    verdict = self.homotopic(compose(f, phi), compose(g, phi))
+                    if verdict is None:
+                        return MHomotopyVerdict(CAP, probe.name, phi, checked)
+                    if not verdict:
+                        return MHomotopyVerdict(NO, probe.name, phi, checked)
+            except CapExceeded:
+                return MHomotopyVerdict(CAP, probe.name, None, checked)
+        return MHomotopyVerdict(YES, None, None, checked)
 
 
 # --- certificate JSON ----------------------------------------------------------

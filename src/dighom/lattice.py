@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import combinations, product as iterproduct
-from typing import Iterable, Optional, Union
+from typing import Union
 
 from .errors import ValidationError
 
@@ -257,7 +257,9 @@ class DigitalImage:
         "_nbrs",
         "_index",
         "_offsets",
+        "_edges",
         "_components",
+        "_component_ids",
         "_key",
     )
 
@@ -284,7 +286,9 @@ class DigitalImage:
             self._offsets = tuple(offs)
         else:
             self._offsets = None
+        self._edges = None
         self._components = None
+        self._component_ids = None
         self._key = None
 
     # -- basic queries
@@ -310,9 +314,6 @@ class DigitalImage:
         label = self.name or "image"
         return f"<DigitalImage {label}: {len(self.points)} points, {len(self._edge_set)} edges, dim {self.dim}>"
 
-    def index_of(self, p):
-        return self._index[p]
-
     def neighbors(self, p):
         return self._nbrs[p]
 
@@ -328,7 +329,10 @@ class DigitalImage:
 
     @property
     def edges(self):
-        return tuple(sorted(self._edge_set))
+        """Edges as sorted normalized pairs, sorted once per image."""
+        if self._edges is None:
+            self._edges = tuple(sorted(self._edge_set))
+        return self._edges
 
     @property
     def is_np_full(self):
@@ -356,13 +360,18 @@ class DigitalImage:
                 seen |= comp
                 comps.append(tuple(sorted(comp)))
             self._components = tuple(sorted(comps))
+            self._component_ids = {
+                x: i for i, comp in enumerate(self._components) for x in comp}
         return self._components
 
     def component_id(self, p):
-        for i, comp in enumerate(self.components()):
-            if p in comp:
-                return i
-        raise ValidationError(f"{p!r} is not a point of the image")
+        """Index of the component holding p, in ``components()`` order."""
+        if self._component_ids is None:
+            self.components()
+        got = self._component_ids.get(p)
+        if got is None:
+            raise ValidationError(f"{p!r} is not a point of the image")
+        return got
 
     def is_connected(self):
         return len(self.components()) <= 1
@@ -371,7 +380,7 @@ class DigitalImage:
     def key(self):
         """Stable content hash used for memo tables and report references."""
         if self._key is None:
-            blob = repr((self.dim, self.points, tuple(sorted(self._edge_set))))
+            blob = repr((self.dim, self.points, self.edges))
             self._key = hashlib.sha1(blob.encode()).hexdigest()
         return self._key
 
@@ -475,11 +484,6 @@ def induced_subimage(img, subset, name=""):
     return DigitalImage(keep, Induced(img.spec), edges, name=name)
 
 
-def connected_components(img):
-    """Partition of the points into adjacency components, deterministically ordered."""
-    return img.components()
-
-
 @dataclass(frozen=True)
 class DigitalPath:
     """A sequence of points, each consecutive pair equal or adjacent."""
@@ -496,43 +500,6 @@ class DigitalPath:
     @property
     def end(self):
         return self.points[-1]
-
-    def is_path_in(self, img):
-        if not self.points:
-            return False
-        if any(p not in img for p in self.points):
-            return False
-        return all(
-            img.adjacent_or_equal(a, b) for a, b in zip(self.points, self.points[1:])
-        )
-
-
-def find_path(img, a, b):
-    """A shortest path between two points, or None across components.
-
-    BFS with sorted neighbor expansion, so ties break lexicographically
-    and the result is stable across runs.
-    """
-    if a not in img or b not in img:
-        raise ValidationError("path endpoints must be points of the image")
-    if a == b:
-        return DigitalPath((a,))
-    parent = {a: None}
-    queue = [a]
-    while queue:
-        nxt = []
-        for cur in queue:
-            for nb in img.neighbors(cur):
-                if nb not in parent:
-                    parent[nb] = cur
-                    if nb == b:
-                        chain = [nb]
-                        while parent[chain[-1]] is not None:
-                            chain.append(parent[chain[-1]])
-                        return DigitalPath(tuple(reversed(chain)))
-                    nxt.append(nb)
-        queue = nxt
-    return None
 
 
 # --- JSON ----------------------------------------------------------------------
@@ -667,15 +634,20 @@ def image_from_json(obj):
     return img
 
 
-def load_image(path):
+def _read_json(path):
+    """Parse a JSON file; an unreadable file or bad JSON is a ValidationError
+    naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    return image_from_json(obj)
+
+
+def load_image(path):
+    return image_from_json(_read_json(path))
 
 
 def dump_image(img, path):

@@ -1,21 +1,17 @@
 """Maps between digital images and their continuity calculus.
 
 A map is continuous when adjacent points land on equal or adjacent points.
-That single condition drives everything here: composition, restriction,
-isomorphism, exhaustive enumeration of the continuous maps between two
-images, and currying through normal products.
+That single condition drives everything here: composition, isomorphism,
+and exhaustive enumeration of the continuous maps between two images.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from .errors import CapExceeded, ValidationError
 from . import lattice
-from .lattice import DigitalImage, build_image, image_from_json, image_to_json, np_product
+from .lattice import image_from_json, image_to_json, np_product
 
 
 class DigitalMap:
@@ -64,12 +60,6 @@ class DigitalMap:
     def __repr__(self):
         return f"<DigitalMap {len(self.domain)}->{len(self.codomain)} points>"
 
-    def image_points(self):
-        return tuple(sorted(set(self.values)))
-
-    def is_surjective(self):
-        return len(set(self.values)) == len(self.codomain)
-
     def is_injective(self):
         return len(set(self.values)) == len(self.domain)
 
@@ -111,12 +101,6 @@ def compose(g, f):
     if f.codomain != g.domain:
         raise ValidationError("compose: codomain of the inner map must equal the outer domain")
     return DigitalMap(f.domain, g.codomain, {p: g.mapping[f.mapping[p]] for p in f.domain.points})
-
-
-def restrict(f, subset):
-    """Restriction of a map to an induced subimage of its domain."""
-    sub = lattice.induced_subimage(f.domain, subset)
-    return DigitalMap(sub, f.codomain, {p: f.mapping[p] for p in sub.points})
 
 
 # --- canonical constructions ----------------------------------------------------
@@ -176,62 +160,6 @@ def tuple_map(maps, codomain=None):
         combined = tuple(c for f in maps for c in f.mapping[p])
         mapping[p] = combined
     return digital_map(dom, codomain, mapping)
-
-
-@dataclass(frozen=True)
-class MapKind:
-    """Tagged description of a canonical map; see ``make_basic_map``."""
-
-    tag: str
-    target: tuple = None
-    index: int = None
-    n: int = None
-    maps: tuple = None
-
-    @classmethod
-    def identity(cls):
-        return cls("identity")
-
-    @classmethod
-    def constant(cls, target):
-        return cls("constant", target=target)
-
-    @classmethod
-    def inclusion(cls):
-        return cls("inclusion")
-
-    @classmethod
-    def projection(cls, index):
-        return cls("projection", index=index)
-
-    @classmethod
-    def diagonal(cls, n=2):
-        return cls("diagonal", n=n)
-
-    @classmethod
-    def tuple_of(cls, maps):
-        return cls("tuple", maps=tuple(maps))
-
-
-def make_basic_map(kind, domain, codomain):
-    if kind.tag == "identity":
-        if domain != codomain:
-            raise ValidationError("identity needs equal domain and codomain")
-        return identity_map(domain)
-    if kind.tag == "constant":
-        return constant_map(domain, codomain, kind.target)
-    if kind.tag == "inclusion":
-        return inclusion_map(domain, codomain)
-    if kind.tag == "projection":
-        f = projection_map(domain, kind.index)
-        if f.codomain != codomain:
-            raise ValidationError("projection codomain does not match the stated factor")
-        return f
-    if kind.tag == "diagonal":
-        return diagonal_map(domain, kind.n or 2, codomain)
-    if kind.tag == "tuple":
-        return tuple_map(kind.maps, codomain)
-    raise ValidationError(f"unknown map kind {kind.tag!r}")
 
 
 def inverse_map(f):
@@ -366,40 +294,6 @@ def random_continuous_map(domain, codomain, rng):
     return DigitalMap(domain, codomain, dict(zip(points, assign)))
 
 
-# --- currying --------------------------------------------------------------------
-
-
-def curry(f):
-    """Turn f: (A x C) -> B into a family of maps C -> B indexed by A.
-
-    The domain must be a two-factor strong normal product.  Each slice is
-    continuous because f is.
-    """
-    prod = f.domain
-    if prod.factors is None or len(prod.factors) != 2 or not prod.is_np_full:
-        raise ValidationError("curry needs a two-factor strong product domain")
-    a_img, c_img = prod.factors
-    family = {}
-    for a in a_img.points:
-        mapping = {c: f.mapping[a + c] for c in c_img.points}
-        family[a] = DigitalMap(c_img, f.codomain, mapping)
-    return family
-
-
-def uncurry(family, product):
-    """Inverse of ``curry`` over the same two-factor product."""
-    if product.factors is None or len(product.factors) != 2 or not product.is_np_full:
-        raise ValidationError("uncurry needs a two-factor strong product")
-    a_img, c_img = product.factors
-    first = family[a_img.points[0]]
-    mapping = {}
-    for a in a_img.points:
-        slice_map = family[a]
-        for c in c_img.points:
-            mapping[a + c] = slice_map.mapping[c]
-    return DigitalMap(product, first.codomain, mapping)
-
-
 # --- JSON ------------------------------------------------------------------------
 
 
@@ -443,11 +337,5 @@ def map_from_json(obj, base_dir=None):
 
 
 def load_map(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    obj = lattice._read_json(path)
     return map_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))

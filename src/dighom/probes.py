@@ -233,23 +233,5 @@ def load_family(path_or_name):
     """Load a family from JSON, or build a named built-in like standard-m2."""
     if path_or_name == "standard-m2":
         return standard_m2()
-    import json
+    return family_from_json(lattice._read_json(path_or_name))
 
-    try:
-        with open(path_or_name, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path_or_name}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path_or_name}: invalid JSON at line {exc.lineno} column {exc.colno}"
-        ) from exc
-    return family_from_json(obj)
-
-
-def dump_family(family, path):
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_to_json(family), fh, indent=2)
-        fh.write("\n")

@@ -25,7 +25,7 @@ from typing import Optional
 from .errors import CapExceeded, ValidationError
 from . import lattice
 from . import maps as maps_mod
-from .homotopy import DEFAULT_CAPS, HomotopySession
+from .homotopy import DEFAULT_CAPS, NO, YES, HomotopySession
 from .lattice import DigitalImage, induced_subimage, np_product
 from .maps import DigitalMap, constant_map, identity_map, projection_map
 from . import probes as probes_mod
@@ -121,7 +121,7 @@ class SolverSession:
         self.caps = caps
         self.h = HomotopySession(caps)
         self._goodness = {}
-        self._const_roots = {}
+        self._const_classes = {}
         self._induced = {}
         self._covers = {}
 
@@ -140,47 +140,27 @@ class SolverSession:
             self._induced[key] = img
         return img
 
-    def const_roots(self, domain, codomain):
-        """Roots of the constant maps, one per codomain point; None on cap."""
-        key = (domain.key, codomain.key)
-        got = self._const_roots.get(key)
-        if got is None:
-            n = len(domain.points)
-            roots = set()
-            for x in codomain.points:
-                r = self.h.class_root(domain, codomain, tuple([x] * n))
-                if r is None:
-                    return None
-                roots.add(r)
-            got = frozenset(roots)
-            self._const_roots[key] = got
-        return got
+    def class_of(self, domain, codomain, values):
+        """Interned homotopy class id of the map with these values, via the
+        session's componentwise decomposition over full products."""
+        return self.h.class_of(DigitalMap(domain, codomain, dict(zip(domain.points, values))))
 
     def const_classes(self, domain, codomain):
         """Interned class ids of the constant maps; safe for product
         codomains, where flat closures would be astronomically large."""
-        key = ("cls", domain.key, codomain.key)
-        got = self._const_roots.get(key)
+        key = (domain.key, codomain.key)
+        got = self._const_classes.get(key)
         if got is None:
             ids = set()
+            n = len(domain)
             for x in codomain.points:
-                f = DigitalMap(domain, codomain,
-                               {p: x for p in domain.points})
-                cid = self.h.class_of(f)
+                cid = self.class_of(domain, codomain, (x,) * n)
                 if cid is None:
                     return None
                 ids.add(cid)
             got = frozenset(ids)
-            self._const_roots[key] = got
+            self._const_classes[key] = got
         return got
-
-
-def _component_index(img):
-    comp = {}
-    for i, c in enumerate(img.components()):
-        for x in c:
-            comp[x] = i
-    return comp
 
 
 class _Goodness:
@@ -192,7 +172,6 @@ class _Goodness:
         self.caps = session.caps
         self.universe = kind.universe_image
         self.target = kind.target_image
-        self._target_comp = _component_index(self.target)
         self._probe_contractible = {}
         self._e2 = None
         self._e2_tried = False
@@ -204,10 +183,10 @@ class _Goodness:
         """Pointwise necessary condition: consecutive images share a component."""
         if self.kind.tag.startswith("cat"):
             return True
-        comp = self._target_comp
+        comp = self.target.component_id
         ms = self.kind.maps
         for i in range(len(ms) - 1):
-            if comp[ms[i].mapping[x]] != comp[ms[i + 1].mapping[x]]:
+            if comp(ms[i].mapping[x]) != comp(ms[i + 1].mapping[x]):
                 return False
         return True
 
@@ -246,13 +225,6 @@ class _Goodness:
                 self._max_bad_size = len(self.universe)
         return self._max_bad_size
 
-    def _composite_class(self, probe_img, codomain, values):
-        """Interned homotopy class id of one composite, via the session's
-        componentwise decomposition over full products."""
-        f = DigitalMap(probe_img, codomain,
-                       dict(zip(probe_img.points, values)))
-        return self.session.h.class_of(f)
-
     def _phi_fails(self, probe, phi_values):
         """Whether one probe map violates the kind; None when capped."""
         kind = self.kind
@@ -262,7 +234,7 @@ class _Goodness:
             prev = None
             for h in kind.maps:
                 comp = tuple(h.mapping[v] for v in phi_values)
-                cid = self._composite_class(pimg, h.codomain, comp)
+                cid = sess.class_of(pimg, h.codomain, comp)
                 if cid is None:
                     return None
                 if prev is not None and cid != prev:
@@ -271,12 +243,12 @@ class _Goodness:
             return False
         # cat_m and cat_map_m: the composite must be nullhomotopic.
         if kind.tag == "cat_m":
-            cid = self._composite_class(pimg, self.universe, phi_values)
+            cid = sess.class_of(pimg, self.universe, phi_values)
             consts = sess.const_classes(pimg, self.universe)
         else:
             h = kind.maps[0]
             comp = tuple(h.mapping[v] for v in phi_values)
-            cid = self._composite_class(pimg, h.codomain, comp)
+            cid = sess.class_of(pimg, h.codomain, comp)
             consts = sess.const_classes(pimg, h.codomain)
         if cid is None or consts is None:
             return None
@@ -473,7 +445,6 @@ class _E2Context:
 
     def _prepare(self):
         g = self.session.goodness(self.kind)
-        sess = self.session.h
         for probe in g.nontrivial_probes():
             pimg = probe.image
             tabs = []
@@ -502,7 +473,6 @@ class _E2Context:
 
     def _class_tables(self, probe, tabs):
         """Masks over side-1 maps per common class, and side-2 keys."""
-        sess = self.session.h
         pimg = probe.image
         side_js = ([], [])
         for j, (side, table) in enumerate(self.sides):
@@ -516,9 +486,7 @@ class _E2Context:
             for v in vals:
                 key = []
                 for _, table in js:
-                    comp = tuple(table[x] for x in v)
-                    cid = sess.class_of(
-                        DigitalMap(pimg, cod, dict(zip(pimg.points, comp))))
+                    cid = self.session.class_of(pimg, cod, tuple(table[x] for x in v))
                     if cid is None:
                         raise CapExceeded("class closure capped in product engine",
                                           cap_name="max_visited_maps")
@@ -547,21 +515,21 @@ class _E2Context:
 
     def _null_tables(self, probe, tabs):
         """Nullhomotopy masks: a pair is good when both coordinates are null."""
-        sess = self.session.h
+        sess = self.session
         pimg = probe.image
 
         def null_flags(side_idx, factor):
-            consts = self.session.const_roots(pimg, factor)
+            consts = sess.const_classes(pimg, factor)
             if consts is None:
                 raise CapExceeded("constant classes capped in product engine",
                                   cap_name="max_visited_maps")
             flags = []
             for v in tabs[side_idx]["vals"]:
-                root = sess.class_root(pimg, factor, v)
-                if root is None:
+                cid = sess.class_of(pimg, factor, v)
+                if cid is None:
                     raise CapExceeded("class closure capped in product engine",
                                       cap_name="max_visited_maps")
-                flags.append(root in consts)
+                flags.append(cid in consts)
             return flags
 
         flags1 = null_flags(0, self.f1)
@@ -685,9 +653,9 @@ def minimal_bad_sets(kind, universe=None, caps=DEFAULT_CAPS, session=None):
     for sub in probes_mod._connected_subsets(sorted(pts), nbrs, max_size):
         by_size.setdefault(len(sub), []).append(tuple(sorted(sub)))
     if not kind.is_m and kind.tag != "distance_restriction":
-        comp = _component_index(uni)
+        comp = uni.component_id
         for a, b in itertools.combinations(sorted(pts), 2):
-            if comp[a] != comp[b]:
+            if comp(a) != comp(b):
                 by_size.setdefault(2, []).append(tuple(sorted((a, b))))
     found = []
     for size in sorted(by_size):
@@ -1209,18 +1177,9 @@ def verify_report(source, caps=DEFAULT_CAPS):
 
     Returns (status, messages) with status "ok", "fail", or "undecided".
     """
-    if isinstance(source, str):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{source}: invalid JSON at line {exc.lineno} column {exc.colno}"
-            ) from exc
-    else:
-        obj = source
+    obj = lattice._read_json(source) if isinstance(source, str) else source
+    if not isinstance(obj, dict):
+        raise ValidationError("report document must be a JSON object")
     msgs = []
     name = obj.get("kind")
     if name not in KIND_NAMES:
@@ -1229,6 +1188,8 @@ def verify_report(source, caps=DEFAULT_CAPS):
     image = None
     maps = ()
     inputs = obj.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise ValidationError("report inputs must be a JSON object")
     if "image" in inputs:
         image = lattice.image_from_json(inputs["image"])
     if "maps" in inputs:
@@ -1253,9 +1214,13 @@ def verify_report(source, caps=DEFAULT_CAPS):
         if bad_x is None:
             return "fail", ["report claims infinite but every point passes the chain check"]
         return "ok", [f"infinite confirmed by point {bad_x!r}"]
-    pieces = []
-    for piece in obj.get("pieces", []):
-        pieces.append(frozenset(tuple(int(c) for c in pt) for pt in piece))
+    pieces = obj.get("pieces", [])
+    if not isinstance(pieces, list) or not all(isinstance(p, list) for p in pieces):
+        raise ValidationError("report pieces must be a JSON array of point arrays")
+    pieces = [
+        frozenset(lattice._point_from_json(pt, f"pieces[{i}] point") for pt in piece)
+        for i, piece in enumerate(pieces)
+    ]
     if not pieces:
         return "fail", ["finite value but no pieces recorded"]
     if value != len(pieces) - 1:
@@ -1431,8 +1396,6 @@ def check_fiber_m_equivalence(h, k, v, w, family, caps=DEFAULT_CAPS):
     Requires the triangles to commute strictly, then asks the composites
     v*w and w*v to be homotopic to the identities through every probe.
     """
-    from .homotopy import NO, YES, are_m_homotopic
-
     if v.domain != h.domain or w.domain != k.domain:
         raise ValidationError("fiber check: v must start at h's domain, w at k's")
     if v.codomain != k.domain or w.codomain != h.domain:
@@ -1451,8 +1414,9 @@ def check_fiber_m_equivalence(h, k, v, w, family, caps=DEFAULT_CAPS):
     wv = maps_mod.compose(w, v)
     id_b = identity_map(k.domain)
     id_a = identity_map(h.domain)
-    res_vw = are_m_homotopic(vw, id_b, family, caps)
-    res_wv = are_m_homotopic(wv, id_a, family, caps)
+    session = HomotopySession(caps)
+    res_vw = session.m_homotopic(vw, id_b, family)
+    res_wv = session.m_homotopic(wv, id_a, family)
     if res_vw.decided == NO or res_wv.decided == NO:
         m_eq = False
         bad = res_vw if res_vw.decided == NO else res_wv
@@ -1464,7 +1428,6 @@ def check_fiber_m_equivalence(h, k, v, w, family, caps=DEFAULT_CAPS):
         m_eq, m_wit = True, None
     else:
         m_eq, m_wit = None, None
-    session = HomotopySession(caps)
     s1 = session.homotopic(vw, id_b)
     s2 = session.homotopic(wv, id_a)
     strict = (s1 and s2) if (s1 is not None and s2 is not None) else (
@@ -1495,25 +1458,24 @@ def check_equivalence_invariance(h_list, k_list, omega1, omega2, family,
     """Distance is preserved along homotopy equivalences of both ends.
 
     Hypotheses are re-verified before the conclusion is asserted, so a
-    failure here points at the solver rather than at the inputs.
+    failure here points at the solver rather than at the inputs.  Every
+    homotopy query runs on one session, under that session's caps.
     """
-    from .homotopy import find_homotopy_inverse
-
     hs = tuple(h_list)
     ks = tuple(k_list)
     if len(hs) != len(ks) or len(hs) < 2:
         raise ValidationError("need matching lists of at least two maps")
+    session = session or SolverSession(caps)
     hyp = []
     for name, omega in (("omega1", omega1), ("omega2", omega2)):
         try:
-            inverse = find_homotopy_inverse(omega, caps)
+            inverse = session.h.homotopy_inverse(omega)
         except CapExceeded as exc:
             hyp.append((f"{name} is a homotopy equivalence", False, str(exc)))
             continue
         ok = inverse is not None
         hyp.append((f"{name} is a homotopy equivalence", ok,
                     "inverse found" if ok else "no inverse exists"))
-    session = session or SolverSession(caps)
     for i, (h, k) in enumerate(zip(hs, ks)):
         conj = maps_mod.compose(omega1, maps_mod.compose(h, omega2))
         verdict = session.h.homotopic(conj, k)

@@ -201,6 +201,27 @@ def test_verify_report_unreadable_file_exits_one(capsys, tmp_path):
     assert "mangled.json" in err2
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda blob: [blob],
+    lambda blob: {**blob, "pieces": 7},
+    lambda blob: {**blob, "pieces": [["a"]]},
+    lambda blob: {**blob, "inputs": 7},
+], ids=["top-level-list", "pieces-not-a-list", "piece-point-not-an-array",
+        "inputs-not-an-object"])
+def test_verify_report_malformed_document_exits_one(capsys, tmp_path, square_file,
+                                                    mangle):
+    rep_path = tmp_path / "rep.json"
+    code, _, _ = run(capsys, "compute", "cat", "--image", square_file,
+                     "-o", str(rep_path))
+    assert code == 0
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(mangle(json.loads(rep_path.read_text()))))
+    code2, out2, err2 = run(capsys, "verify-report", str(bad))
+    assert code2 == 1
+    assert out2 == ""
+    assert err2.startswith("error:")
+
+
 def test_verify_report_undecided_exits_two(capsys, tmp_path, ring_file):
     rep_path = tmp_path / "tc.json"
     run(capsys, "compute", "TC", "--image", ring_file, "-o", str(rep_path))

@@ -282,7 +282,12 @@ def test_session_handles_product_codomain(i1):
 _I2 = interval_image(0, 2, name="I2")
 _C4 = build_image(SQUARE, CP(1), name="C4")
 _R8 = build_image(RING8, CP(1), name="R8")
-_SMALL_PAIRS = [(dom, cod) for dom in (_I2, _C4, _R8) for cod in (_I2, _C4, _R8)]
+# The product codomain is split per factor by the session and searched
+# whole by the reference BFS; R8 is left out as its domain because that
+# map space holds millions of maps.
+_R8_I1 = np_product([_R8, interval_image(0, 1)], 2)
+_SMALL_PAIRS = [(dom, cod) for dom in (_I2, _C4, _R8) for cod in (_I2, _C4, _R8)] + [
+    (_I2, _R8_I1), (_C4, _R8_I1)]
 _RIGID_R8 = [ring_rotation(_R8, k) for k in range(8)] + [
     compose(ring_reflection(_R8), ring_rotation(_R8, k)) for k in range(8)]
 
@@ -352,3 +357,35 @@ def test_session_over_cap_closes_queried_component(r8):
     null = constant_map(r8, r8, RING8[0])
     assert session.class_root(r8, r8, null.values) is None
     assert session.homotopic(null, constant_map(r8, r8, RING8[4])) is None
+
+
+def _racket():
+    """R8 with a 4-point tail off (2, 1): 12 points, above FLAT_CLASS_LIMIT."""
+    return build_image(RING8 + [(2 + i, 1) for i in range(1, 5)], CP(1), name="racket12")
+
+
+def _ring_map(racket, r8, ring_index):
+    """Ring point i to RING8[ring_index(i)]; the tail follows (2, 1)."""
+    mapping = {p: RING8[ring_index(i) % 8] for i, p in enumerate(RING8)}
+    tip = mapping[(2, 1)]
+    mapping.update({p: tip for p in racket.points if p not in mapping})
+    return digital_map(racket, r8, mapping)
+
+
+def test_session_big_domain_matches_reference(r8):
+    racket = _racket()
+    session = HomotopySession(DEFAULT_CAPS)
+    forward = _ring_map(racket, r8, lambda i: i)
+    turned = _ring_map(racket, r8, lambda i: i + 3)
+    backward = _ring_map(racket, r8, lambda i: -i)
+    for f, g, expected in ((forward, turned, True), (forward, backward, False)):
+        assert session.homotopic(f, g) is expected
+        assert are_homotopic(f, g).decided == (YES if expected else NO)
+    assert session.nullhomotopic(forward) is False
+    assert is_nullhomotopic(forward).decided == NO
+    # Folding the ring onto an arc misses ring points, so the map is null;
+    # the reference BFS from it is too slow to run here.
+    folded = _ring_map(racket, r8, lambda i: min(i, 8 - i))
+    assert session.nullhomotopic(folded) is True
+    # Twelve points are too many to classify: the answers came from search.
+    assert (racket.key, r8.key) not in session._roots

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dighom import CP, build_image, np_product
 from dighom.errors import CapExceeded, ValidationError
-from dighom.lattice import interval_image
+from dighom.lattice import induced_subimage, interval_image
 from dighom.maps import (
     compose,
     constant_map,
@@ -26,7 +26,6 @@ from dighom.maps import (
     map_to_json,
     projection_map,
     random_continuous_map,
-    restrict,
     tuple_map,
 )
 
@@ -165,10 +164,12 @@ def test_random_continuous_map_is_continuous(r8, c4):
 def test_restrict_and_inclusion(r8):
     arc = {(0, 0), (1, 0), (2, 0)}
     ident = identity_map(r8)
-    part = restrict(ident, arc)
+    # A restriction is the composite with the inclusion of the subimage.
+    inc = inclusion_map(induced_subimage(r8, arc), r8)
+    part = compose(ident, inc)
     assert set(part.domain.points) == arc
-    inc = inclusion_map(part.domain, r8)
     assert all(inc.mapping[p] == p for p in arc)
+    assert all(part.mapping[p] == p for p in arc)
 
 
 def test_map_json_round_trip(r8, tmp_path):

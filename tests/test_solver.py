@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dighom import (
     DEFAULT_CAPS,
     INFINITE,
+    HomotopySession,
     SearchCaps,
     SolverSession,
     are_m_homotopic,
@@ -503,6 +504,29 @@ def test_equivalence_invariance_by_rotation(r8, family, session):
                                           session=session)
     assert report.hypotheses_ok, report.hypotheses
     assert report.equal is True
+
+
+def test_harnesses_use_one_session(r8, family, monkeypatch):
+    made = []
+    init = HomotopySession.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HomotopySession, "__init__", counting_init)
+    collapse = constant_map(r8, build_image([(0, 0)], CP(1)), (0, 0))
+    ident = identity_map(r8)
+    assert check_fiber_m_equivalence(collapse, collapse, ident, ident, family).ok
+    assert len(made) == 1
+
+    made.clear()
+    rot = ring_rotation(r8, 1)
+    hs = (ident, ring_rotation(r8, 2))
+    ks = (ring_rotation(r8, 2), ring_rotation(r8, 4))
+    report = check_equivalence_invariance(hs, ks, rot, rot, family)
+    assert report.equal is True
+    assert len(made) == 1
 
 
 def test_equivalence_invariance_rejects_bad_hypotheses(r8, family, session):

@@ -113,9 +113,9 @@ def _validate_spec(spec, dim):
     elif isinstance(spec, NP):
         if len(spec.factors) < 1 or len(spec.factors) != len(spec.dims):
             raise ValidationError("np spec needs one dimension per factor")
-        if not 1 <= spec.m <= len(spec.factors):
+        if not isinstance(spec.m, int) or not 1 <= spec.m <= len(spec.factors):
             raise ValidationError(
-                f"np spec m={spec.m} out of range for {len(spec.factors)} factors"
+                f"np spec m={spec.m!r} out of range for {len(spec.factors)} factors"
             )
         if sum(spec.dims) != dim:
             raise ValidationError(
@@ -535,6 +535,12 @@ def _point_from_json(obj, what="point"):
     return tuple(obj)
 
 
+def _json_array(obj, what):
+    if not isinstance(obj, list):
+        raise ValidationError(f"{what} must be a JSON array, got {obj!r}")
+    return obj
+
+
 def _spec_from_json(obj, dim, where="adjacency"):
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError(f"{where}: expected an object with a 'type' field")
@@ -545,7 +551,7 @@ def _spec_from_json(obj, dim, where="adjacency"):
         return CP(obj["p"])
     if t == "explicit":
         edges = set()
-        for i, e in enumerate(obj.get("edges", [])):
+        for i, e in enumerate(_json_array(obj.get("edges", []), f"{where}.edges")):
             if not isinstance(e, list) or len(e) != 2:
                 raise ValidationError(f"{where}.edges[{i}]: expected a pair of points")
             a = _point_from_json(e[0], f"{where}.edges[{i}][0]")
@@ -617,7 +623,8 @@ def image_from_json(obj):
     dim = obj["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise ValidationError(f"image dim must be a positive integer, got {dim!r}")
-    pts = [_point_from_json(p, f"points[{i}]") for i, p in enumerate(obj["points"])]
+    pts = [_point_from_json(p, f"points[{i}]")
+           for i, p in enumerate(_json_array(obj["points"], "image points"))]
     for i, p in enumerate(pts):
         if len(p) != dim:
             raise ValidationError(f"points[{i}] has dimension {len(p)}, expected {dim}")

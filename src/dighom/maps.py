@@ -325,7 +325,7 @@ def map_from_json(obj, base_dir=None):
     domain = _image_ref_from_json(obj["domain"], base_dir, "domain")
     codomain = _image_ref_from_json(obj["codomain"], base_dir, "codomain")
     assignment = {}
-    for i, entry in enumerate(obj["assignment"]):
+    for i, entry in enumerate(lattice._json_array(obj["assignment"], "map assignment")):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValidationError(f"assignment[{i}]: expected a [source, target] pair")
         src = lattice._point_from_json(entry[0], f"assignment[{i}][0]")

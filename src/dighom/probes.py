@@ -215,7 +215,7 @@ def family_from_json(obj):
     if not isinstance(m, int) or m < 1:
         raise ValidationError(f"family m must be a positive integer, got {m!r}")
     complexes = []
-    for i, sub in enumerate(obj["complexes"]):
+    for i, sub in enumerate(lattice._json_array(obj["complexes"], "family complexes")):
         img = lattice.image_from_json(sub)
         name = img.name or f"probe{i}-{len(img)}p"
         complexes.append(ProbeComplex(name, img))

@@ -9,17 +9,18 @@ problem is carried entirely by the inclusion-minimal bad subsets.
 Three engines decide goodness.  Direct probe enumeration is the
 reference; a bitmask scan handles two-factor strong-product universes
 where maps factor through the coordinates; restriction kinds go straight
-to the homotopy engine.  Small universes are solved by exhausting the
-minimal bad sets; larger ones by refinement: seed some bad sets, compute
-an optimal partition avoiding them (a lower bound), verify every piece,
-and harvest new bad sets from failures until the partition verifies.
+to the homotopy engine.  One solver computes every cover, by refinement:
+seed some bad sets, compute an optimal partition avoiding them (a lower
+bound), verify every piece, and harvest new bad sets from failures until
+the partition verifies.  A small universe just gets the full seed, every
+minimal bad set, so its first partition verifies at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import CapExceeded, ValidationError
@@ -101,7 +102,6 @@ def cat_map_kind(h, family=None):
 class GoodnessResult:
     status: Optional[bool]  # True good, False bad, None undecided
     witness: Optional[dict] = None
-    checked: int = 0
 
 
 @dataclass
@@ -271,8 +271,6 @@ class _Goodness:
         contract = self.session.h.contractible(sub)
         if contract:
             return GoodnessResult(True)
-        checked = 0
-        undecided = False
         for probe in self.nontrivial_probes():
             if surjective_only and len(probe.image) < len(pts):
                 continue
@@ -284,11 +282,9 @@ class _Goodness:
                     order="search",
                 )
                 for phi in stream:
-                    checked += 1
                     fails = self._phi_fails(probe, phi.values)
                     if fails is None:
-                        undecided = True
-                        break
+                        return GoodnessResult(None)
                     if fails:
                         if harvest is not None:
                             harvest.append(frozenset(phi.values))
@@ -297,15 +293,10 @@ class _Goodness:
                             {"probe": probe.name,
                              "map": [[list(a), list(b)] for a, b in
                                      zip(probe.image.points, phi.values)]},
-                            checked,
                         )
             except CapExceeded:
-                undecided = True
-            if undecided:
-                break
-        if undecided:
-            return GoodnessResult(None, None, checked)
-        return GoodnessResult(True, None, checked)
+                return GoodnessResult(None)
+        return GoodnessResult(True)
 
     def _check_restriction(self, sub):
         kind = self.kind
@@ -340,40 +331,32 @@ class _Goodness:
             return GoodnessResult(False, {"restriction": "not nullhomotopic"})
         return GoodnessResult(True)
 
-    # -- badness tests used by minimality searches
+    # -- badness test used by minimality searches
 
-    def bad_via_surjection(self, X):
-        """For m-kinds: some surjective probe map onto X fails.  The smallest
-        subset with this property is an inclusion-minimal bad set."""
+    def is_bad(self, X):
+        """Whether X is bad, as the minimality scans need it.
+
+        For m-kinds only the probe maps onto X are tried, so a failing map
+        into a proper subset is missed; scans by size meet that subset
+        first, because a minimal bad set is the image of a failing
+        surjective probe map.  Restriction kinds run the full test.
+        """
         res = self.check(X, surjective_only=True)
         if res.status is None:
             raise CapExceeded("goodness undecided during minimality search",
                               cap_name="max_probe_maps")
         return res.status is False
 
-    def is_bad(self, X):
-        res = self.check(X)
-        if res.status is None:
-            raise CapExceeded("goodness undecided during minimality search",
-                              cap_name="max_probe_maps")
-        return res.status is False
-
     def shrink_bad(self, Y):
-        """Greedily drop points while badness persists.
-
-        For restriction kinds the test is true badness, and downward
-        closure makes the fixpoint inclusion-minimal.  For m-kinds the
-        cheaper surjective test is used; the result is still a bad set,
-        which is all the refinement loop needs.
-        """
+        """Greedily drop points while badness persists; by downward closure
+        the fixpoint of a restriction kind is inclusion-minimal."""
         cur = frozenset(Y)
-        test = self.bad_via_surjection if self.kind.is_m else self.is_bad
         changed = True
         while changed and len(cur) > 1:
             changed = False
             for p in sorted(cur):
                 smaller = cur - {p}
-                if test(smaller):
+                if self.is_bad(smaller):
                     cur = smaller
                     changed = True
                     break
@@ -635,45 +618,48 @@ def subset_good(kind, X, caps=DEFAULT_CAPS, session=None):
     return session.goodness(kind).check(pts)
 
 
-def minimal_bad_sets(kind, universe=None, caps=DEFAULT_CAPS, session=None):
-    """All inclusion-minimal subsets failing goodness, smallest first.
+def _scan_bad_sets(g, max_size):
+    """Inclusion-minimal bad sets of at most max_size points, smallest first.
 
-    For m-kinds candidates are connected subsets no larger than the biggest
-    non-contractible probe, because a minimal bad set must be the image of
-    a failing surjective probe map.  Restriction kinds scan all connected
-    subsets, plus cross-component pairs for the contraction kinds.
+    Candidates are the connected subsets, plus cross-component pairs for
+    the contraction kinds.
     """
-    session = session or SolverSession(caps)
-    g = session.goodness(kind)
-    uni = kind.universe_image
-    pts = list(universe) if universe is not None else list(uni.points)
-    nbrs = {p: [q for q in uni.neighbors(p) if q in set(pts)] for p in pts}
-    max_size = min(g.max_bad_size(), len(pts))
+    kind = g.kind
+    uni = g.universe
+    pts = sorted(uni.points)
+    nbrs = {p: uni.neighbors(p) for p in pts}
     by_size = {}
-    for sub in probes_mod._connected_subsets(sorted(pts), nbrs, max_size):
-        by_size.setdefault(len(sub), []).append(tuple(sorted(sub)))
-    if not kind.is_m and kind.tag != "distance_restriction":
+    for sub in probes_mod._connected_subsets(pts, nbrs, max_size):
+        by_size.setdefault(len(sub), set()).add(tuple(sorted(sub)))
+    if max_size >= 2 and not kind.is_m and kind.tag != "distance_restriction":
         comp = uni.component_id
-        for a, b in itertools.combinations(sorted(pts), 2):
+        for a, b in itertools.combinations(pts, 2):
             if comp(a) != comp(b):
-                by_size.setdefault(2, []).append(tuple(sorted((a, b))))
+                by_size.setdefault(2, set()).add((a, b))
     found = []
     for size in sorted(by_size):
-        for cand in sorted(set(by_size[size])):
+        for cand in sorted(by_size[size]):
             cs = frozenset(cand)
-            if any(b <= cs for b in found):
-                continue
-            if kind.is_m and size > 1:
-                bad = g.bad_via_surjection(cs)
-            else:
-                bad = g.is_bad(cs)
-            if bad:
+            if not any(b <= cs for b in found) and g.is_bad(cs):
                 found.append(cs)
     return found
 
 
+def minimal_bad_sets(kind, caps=DEFAULT_CAPS, session=None):
+    """All inclusion-minimal subsets failing goodness, smallest first.
+
+    For m-kinds candidates are no larger than the biggest non-contractible
+    probe, because a minimal bad set must be the image of a failing
+    surjective probe map.  Restriction kinds scan subsets of every size.
+    """
+    session = session or SolverSession(caps)
+    g = session.goodness(kind)
+    return _scan_bad_sets(g, min(g.max_bad_size(), len(g.universe)))
+
+
 def maximal_good_sets(universe, bad, output_cap=100_000):
-    """All inclusion-maximal subsets containing no bad set."""
+    """All inclusion-maximal subsets containing no bad set; with
+    ``min_cover`` the reference oracle that tests check the solver against."""
     uni = frozenset(universe)
     bads = [frozenset(b) for b in bad]
     for b in bads:
@@ -704,7 +690,8 @@ def maximal_good_sets(universe, bad, output_cap=100_000):
 
 
 def min_cover(universe, sets, mode="exact", exact_cap=EXACT_COVER_CAP):
-    """Fewest sets covering the universe; INFINITE when a point is uncoverable."""
+    """Fewest sets covering the universe; INFINITE when a point is uncoverable.
+    Reference oracle: over the maximal good sets it gives the solver's value."""
     uni = sorted(set(universe))
     cand = sorted({frozenset(s) for s in sets if s}, key=lambda s: (-len(s), sorted(s)))
     for s in cand:
@@ -867,97 +854,58 @@ def _greedy_partition(points, bads, piece_cap):
 # --- cover computation routing ---------------------------------------------------
 
 
-def _piece_witnesses(g, pieces):
-    wits = []
-    for i, piece in enumerate(pieces):
-        res, _ = g.check_piece(piece)
-        if res.status is not True:
-            raise CapExceeded("final piece verification failed unexpectedly",
-                              cap_name="max_probe_maps")
-        wits.append({"piece": i, "size": len(piece), "checked": res.checked})
-    return tuple(wits)
-
-
-def _exhaustive_cover(kind, g, session, caps, mode, exact_cap):
-    bads = minimal_bad_sets(kind, None, caps, session)
-    uni = kind.universe_image.points
-    goods = maximal_good_sets(uni, bads)
-    cover = min_cover(uni, goods, mode, exact_cap)
-    if cover.value is INFINITE:
-        return cover
-    exactness = "lower_bound_family" if kind.is_m else cover.exactness
-    wits = _piece_witnesses(g, cover.pieces)
-    return CoverResult(cover.value, cover.pieces, wits, exactness,
-                       cover.caps_hit, cover.notes)
+def _undecided(kind, note):
+    """An undecided cover: an m-kind stays a family lower bound."""
+    tag = "lower_bound_family" if kind.is_m else "exact"
+    return CoverResult(None, (), (), tag, True, (note,))
 
 
 def _refinement_cover(kind, g, session, caps, mode, piece_cap, seed_size):
-    """Lazy-exact cover: partition against known bad sets, verify, harvest."""
-    uni = kind.universe_image
-    pts = list(uni.points)
-    bads = []
-    known = set()
-    if seed_size:
-        nbrs = {p: list(uni.neighbors(p)) for p in pts}
-        by_size = {}
-        for sub in probes_mod._connected_subsets(sorted(pts), nbrs, seed_size):
-            by_size.setdefault(len(sub), []).append(tuple(sorted(sub)))
-        for size in sorted(by_size):
-            if size < 2:
-                continue
-            for cand in sorted(set(by_size[size])):
-                cs = frozenset(cand)
-                if any(b <= cs for b in bads):
-                    continue
-                bad = g.bad_via_surjection(cs) if kind.is_m else g.is_bad(cs)
-                if bad:
-                    bads.append(cs)
-                    known.add(cs)
-    notes = []
+    """Lazy-exact cover: partition against known bad sets, verify, harvest.
+
+    The seed is every minimal bad set when seed_size is None, else the
+    minimal bad sets of at most seed_size points.
+    """
+    pts = list(kind.universe_image.points)
+    if seed_size is None:
+        bads = minimal_bad_sets(kind, caps, session)
+    else:
+        bads = _scan_bad_sets(g, seed_size) if seed_size else []
+    known = set(bads)
     capped_any = False
     for _ in range(MAX_REFINE_ROUNDS):
         if mode == "greedy":
-            pieces, lb_pieces = _greedy_partition(pts, bads, piece_cap), None
-            capped = False
+            pieces = _greedy_partition(pts, bads, piece_cap)
         else:
             pieces, capped = _min_partition(pts, bads, piece_cap)
-            lb_pieces = pieces
             if capped or pieces is None:
                 capped_any = True
                 pieces = _greedy_partition(pts, bads, piece_cap)
         failures = []
-        undecided = False
         for piece in pieces:
             res, images = g.check_piece(piece)
             if res.status is None:
-                undecided = True
-                break
+                return _undecided(kind, "piece goodness undecided under caps")
             if res.status is False:
                 failures.append((piece, images))
-        if undecided:
-            return CoverResult(None, (), (), "exact", True,
-                               ("piece goodness undecided under caps",))
         if not failures:
-            value = len(pieces) - 1
-            if kind.is_m:
-                exactness = "lower_bound_family"
-                if capped_any or mode == "greedy":
-                    exactness = "upper_bound"
+            # The one exactness rule.  A greedy or capped partition is an
+            # upper bound; an optimal one is exact, or a family lower bound
+            # for m-kinds.
+            notes = []
+            exactness = "lower_bound_family" if kind.is_m else "exact"
+            if capped_any or mode == "greedy":
+                exactness = "upper_bound"
+                if capped_any:
                     notes.append("partition search capped; value may exceed the optimum")
-            else:
-                exactness = "exact"
-                if capped_any or mode == "greedy":
+            elif piece_cap is not None:
+                lb, lb_capped = _min_partition(pts, bads, None)
+                if lb_capped or lb is None or len(lb) < len(pieces):
                     exactness = "upper_bound"
-                elif piece_cap is not None:
-                    lb, lb_capped = _min_partition(pts, bads, None)
-                    if lb_capped or lb is None or len(lb) < len(pieces):
-                        exactness = "upper_bound"
-                        if lb is not None:
-                            notes.append(f"lower bound {len(lb) - 1} from relaxation")
-            wits = tuple(
-                {"piece": i, "size": len(p)} for i, p in enumerate(pieces)
-            )
-            return CoverResult(value, tuple(pieces), wits, exactness,
+                    if lb is not None:
+                        notes.append(f"lower bound {len(lb) - 1} from relaxation")
+            wits = tuple({"piece": i, "size": len(p)} for i, p in enumerate(pieces))
+            return CoverResult(len(pieces) - 1, tuple(pieces), wits, exactness,
                                capped_any, tuple(notes))
         new = 0
         for piece, images in failures:
@@ -970,10 +918,8 @@ def _refinement_cover(kind, g, session, caps, mode, piece_cap, seed_size):
                     bads.append(core)
                     new += 1
         if new == 0:
-            return CoverResult(None, (), (), "exact", True,
-                               ("refinement stalled without new bad sets",))
-    return CoverResult(None, (), (), "exact", True,
-                       ("refinement round cap exceeded",))
+            return _undecided(kind, "refinement stalled without new bad sets")
+    return _undecided(kind, "refinement round cap exceeded")
 
 
 def compute_cover(kind, caps=DEFAULT_CAPS, mode="exact", session=None,
@@ -987,8 +933,7 @@ def compute_cover(kind, caps=DEFAULT_CAPS, mode="exact", session=None,
     try:
         result = _route_cover(kind, session, caps, mode, exact_cap)
     except CapExceeded as exc:
-        tag = "lower_bound_family" if kind.is_m else "exact"
-        result = CoverResult(None, (), (), tag, True, (str(exc),))
+        result = _undecided(kind, str(exc))
     session._covers[memo_key] = result
     return result
 
@@ -1009,22 +954,31 @@ def _route_cover(kind, session, caps, mode, exact_cap):
                 INFINITE, (), ({"point": list(bad_x)},), "exact", False,
                 ("a point's images fall in different components",),
             )
+    # A small universe gets every minimal bad set as its seed (None).
+    piece_cap = None
     if kind.is_m:
         if len(pts) <= M_KIND_EXHAUSTIVE_CAP:
-            return _exhaustive_cover(kind, g, session, caps, mode, exact_cap)
-        if g.e2() is not None:
-            return _refinement_cover(kind, g, session, caps, mode, None, 0)
-        if len(pts) <= exact_cap:
-            return _exhaustive_cover(kind, g, session, caps, mode, exact_cap)
-        return CoverResult(None, (), (), "lower_bound_family", True,
-                           ("universe too large for the probe engines",))
-    if len(pts) <= RESTRICTION_EXHAUSTIVE_CAP:
-        return _exhaustive_cover(kind, g, session, caps, mode, exact_cap)
-    if len(pts) <= exact_cap:
-        return _refinement_cover(kind, g, session, caps, mode,
-                                 RESTRICTION_EXHAUSTIVE_CAP, 5)
-    return CoverResult(None, (), (), "exact", True,
-                       ("restriction goodness infeasible at this size",))
+            seed_size = None
+        elif g.e2() is not None:
+            seed_size = 0
+        elif len(pts) <= exact_cap:
+            seed_size = None
+        else:
+            return _undecided(kind, "universe too large for the probe engines")
+    elif len(pts) <= RESTRICTION_EXHAUSTIVE_CAP:
+        seed_size = None
+    elif len(pts) <= exact_cap:
+        seed_size, piece_cap = 5, RESTRICTION_EXHAUSTIVE_CAP
+    else:
+        return _undecided(kind, "restriction goodness infeasible at this size")
+    over_cap = seed_size is None and mode != "greedy" and len(pts) > exact_cap
+    if over_cap:
+        mode = "greedy"
+    cover = _refinement_cover(kind, g, session, caps, mode, piece_cap, seed_size)
+    if over_cap and cover.value is not None:
+        note = f"universe above the exact-cover cap {exact_cap}; greedy used"
+        cover = replace(cover, caps_hit=True, notes=cover.notes + (note,))
+    return cover
 
 
 # --- invariants and reports -------------------------------------------------------
@@ -1194,8 +1148,11 @@ def verify_report(source, caps=DEFAULT_CAPS):
         image = lattice.image_from_json(inputs["image"])
     if "maps" in inputs:
         maps = tuple(maps_mod.map_from_json(m) for m in inputs["maps"])
+    n = obj.get("n")
+    if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
+        raise ValidationError(f"report n must be an integer or null, got {n!r}")
     try:
-        kind, _, _ = _build_kind(name, image, maps, family, obj.get("n"))
+        kind, _, _ = _build_kind(name, image, maps, family, n)
     except ValidationError as exc:
         return "fail", [f"cannot rebuild inputs: {exc}"]
     value = obj.get("value")

@@ -222,6 +222,34 @@ def test_verify_report_malformed_document_exits_one(capsys, tmp_path, square_fil
     assert err2.startswith("error:")
 
 
+_R8_JSON = image_to_json(build_image(RING8, CP(1), name="R8"))
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ({**_R8_JSON, "points": 7}, ["image", "validate"]),
+    ({"dim": 1, "adjacency": {"type": "explicit", "edges": 5},
+      "points": [[0], [1]]}, ["image", "validate"]),
+    ({"dim": 2, "points": [[0, 0], [0, 1]],
+      "adjacency": {"type": "np", "m": "x",
+                    "factors": [{"type": "cp", "p": 1}] * 2}},
+     ["image", "validate"]),
+    ({"m": 2, "complexes": 5}, ["compute", "cat", "--image", "RING", "--probes"]),
+    ({"domain": _R8_JSON, "codomain": _R8_JSON, "assignment": 3},
+     ["compute", "cat_of_map", "--map"]),
+    ({"kind": "nTC", "n": "x", "value": 1, "pieces": [],
+      "inputs": {"image": _R8_JSON}}, ["verify-report"]),
+], ids=["image-points", "explicit-edges", "np-m", "family-complexes",
+        "map-assignment", "report-n"])
+def test_wrong_typed_json_field_exits_one(capsys, tmp_path, ring_file, doc, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [ring_file if a == "RING" else a for a in argv] + [str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_report_undecided_exits_two(capsys, tmp_path, ring_file):
     rep_path = tmp_path / "tc.json"
     run(capsys, "compute", "TC", "--image", ring_file, "-o", str(rep_path))

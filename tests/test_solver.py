@@ -16,6 +16,7 @@ from dighom import (
     cat_map_kind,
     check_equivalence_invariance,
     check_fiber_m_equivalence,
+    compute_cover,
     compute_invariant,
     distance_kind,
     maximal_good_sets,
@@ -27,7 +28,7 @@ from dighom import (
     verify_report,
 )
 from dighom.errors import CapExceeded, ValidationError
-from dighom.lattice import CP, build_image, np_product
+from dighom.lattice import CP, build_image, interval_image, np_product
 from dighom.maps import (
     compose,
     constant_map,
@@ -39,7 +40,6 @@ from dighom.maps import (
 from dighom.probes import ProbeFamily, standard_m2
 from dighom.solver import (
     N1_CONVENTION_NOTE,
-    _exhaustive_cover,
     _refinement_cover,
     suite_to_json,
 )
@@ -258,18 +258,55 @@ def test_unknown_and_mismatched_kinds(r8, family):
         compute_invariant("cat", image=r8, family=family)
 
 
-# --- cover strategies agree ------------------------------------------------------
+# --- the solver against the reference oracle ---------------------------------------
 
 
-def test_exhaustive_and_refinement_agree(r8, family, session):
-    for kind in (cat_kind(r8, family),
-                 distance_kind((identity_map(r8),
-                                constant_map(r8, r8, (0, 0))), family)):
-        g = session.goodness(kind)
-        ex = _exhaustive_cover(kind, g, session, DEFAULT_CAPS, "exact", 16)
-        ref = _refinement_cover(kind, g, session, DEFAULT_CAPS, "exact",
-                                piece_cap=None, seed_size=2)
-        assert ex.value == ref.value == 1
+def _oracle_kinds(img, family):
+    """cat, cat_m, D, D_m and cat_m_of_map on one image; the distance pair
+    is the identity and a map constant on each component."""
+    ident = identity_map(img)
+    firsts = {}
+    for p in img.points:
+        firsts.setdefault(img.component_id(p), p)
+    squash = digital_map(img, img,
+                         {p: firsts[img.component_id(p)] for p in img.points})
+    return (cat_kind(img), cat_kind(img, family),
+            distance_kind((ident, squash)), distance_kind((ident, squash), family),
+            cat_map_kind(ident, family))
+
+
+def test_solver_matches_cover_oracle(r8, c4, family, session):
+    images = (r8, c4, interval_image(0, 3, name="I3"),
+              build_image([(0,), (1,), (5,), (6,)], CP(1), name="split"))
+    for img in images:
+        for kind in _oracle_kinds(img, family):
+            uni = kind.universe_image.points
+            got = compute_cover(kind, session=session)
+            goods = maximal_good_sets(uni, minimal_bad_sets(kind, session=session))
+            assert got.value == min_cover(uni, goods).value, (img.name, kind.tag)
+            pieces = [frozenset(p) for p in got.pieces]
+            assert sum(len(p) for p in pieces) == len(uni)
+            assert frozenset().union(*pieces) == frozenset(uni)
+            for piece in pieces:
+                assert subset_good(kind, piece, session=session).status is True
+            g = session.goodness(kind)
+            ref = _refinement_cover(kind, g, session, DEFAULT_CAPS, "exact",
+                                    piece_cap=None, seed_size=2)
+            assert ref.value == got.value, (img.name, kind.tag)
+
+
+def test_greedy_and_capped_m_covers_are_upper_bounds(r8, family, session):
+    greedy = compute_invariant("cat_m", image=r8, family=family, mode="greedy",
+                               session=session)
+    assert greedy.value == 1
+    assert greedy.cover.exactness == "upper_bound"
+    assert not greedy.cover.caps_hit
+    capped = compute_invariant("cat_m", image=r8, family=family, exact_cap=4,
+                               session=session)
+    assert capped.value == 1
+    assert capped.cover.exactness == "upper_bound"
+    assert capped.cover.caps_hit
+    assert "universe above the exact-cover cap 4; greedy used" in capped.cover.notes
 
 
 def test_e2_scan_matches_reference(family):

@@ -654,15 +654,16 @@ class HomotopySession:
         return max(self.caps.max_visited_maps // 4, 1000)
 
     def _reach(self, mg, start, targets):
-        """Whether a frame path leads from start into targets, for domains
-        too large to classify: True, False, or None when capped."""
-        hit = self._astar_single_point(mg, start, targets, self._astar_budget())[0]
-        if hit is not None:
-            return True
-        hit, _, _, capped = _frame_bfs(mg, start, targets, self.caps)
-        if hit is not None:
-            return True
-        return None if capped else False
+        """A frame path from start into targets, as the list of its states,
+        for domains too large to classify: A* over single-point moves, then
+        frame BFS.  An empty list when no path exists, None when capped."""
+        hit, parents, _, _ = self._astar_single_point(
+            mg, start, targets, self._astar_budget())
+        if hit is None:
+            hit, parents, _, capped = _frame_bfs(mg, start, targets, self.caps)
+            if hit is None:
+                return None if capped else []
+        return _chain_to(parents, hit)
 
     # -- the one decision routine
 
@@ -693,7 +694,8 @@ class HomotopySession:
             # f's whole component is closed, so membership is a lookup.
             roots = self._roots[(f.domain.key, cod.key)]
             return any(roots.get(t) == root for t in targets)
-        return self._reach(self._graph(f.domain, cod), f.values, targets)
+        chain = self._reach(self._graph(f.domain, cod), f.values, targets)
+        return None if chain is None else bool(chain)
 
     # -- the public queries
 
@@ -709,8 +711,9 @@ class HomotopySession:
 
     def certificate_between(self, f, g):
         """A verifiable certificate for a yes answer, not necessarily
-        shortest; None when the maps are not homotopic or caps prevented a
-        decision."""
+        shortest: a walk in the class forest for small flat domains, else
+        the chain that ``_reach`` found.  None when the maps are not
+        homotopic or caps prevented a decision."""
         _validate_parallel(f, g)
         if f.values == g.values:
             return HomotopyCertificate((f,))
@@ -725,17 +728,10 @@ class HomotopySession:
                 forest = self._forest[(f.domain.key, cod.key)]
                 chain = _chain_to(forest, f.values)[::-1] + _chain_to(forest, g.values)[1:]
                 return _certificate_from_chain(f.domain, cod, chain)
-        verdict = are_homotopic(f, g, self.caps)
-        if verdict.decided != CAP:
-            return verdict.certificate
-        # The frame BFS overran its cap; an A* over single-point moves may
-        # still find a path that the breadth-first order did not reach.
-        mg = self._graph(f.domain, cod)
-        hit, parents, _, _ = self._astar_single_point(
-            mg, f.values, {g.values}, self._astar_budget())
-        if hit is None:
+        if _component_mismatch(f, g) is not None:
             return None
-        return _certificate_from_chain(f.domain, cod, _chain_to(parents, hit))
+        chain = self._reach(self._graph(f.domain, cod), f.values, {g.values})
+        return _certificate_from_chain(f.domain, cod, chain) if chain else None
 
     # -- harness queries
 
@@ -783,7 +779,7 @@ class HomotopySession:
                         witness = constant_map(pimg, f.domain, x)
                         return MHomotopyVerdict(NO, probe.name, witness, checked)
                 continue
-            cap = family.max_maps if family.max_maps else self.caps.max_probe_maps
+            cap = family.map_cap(self.caps)
             try:
                 for phi in enumerate_continuous_maps(pimg, f.domain, cap=cap, order="search"):
                     checked += 1

@@ -57,6 +57,11 @@ class ProbeFamily:
     def __iter__(self):
         return iter(self.complexes)
 
+    def map_cap(self, caps):
+        """How many maps out of one probe may be enumerated: the family's
+        ``max_maps`` when set, else ``caps.max_probe_maps``."""
+        return self.max_maps if self.max_maps is not None else caps.max_probe_maps
+
 
 def canonical_key(img, cap=CANONICAL_CAP):
     """Canonical bytes; equal exactly for digitally isomorphic images.

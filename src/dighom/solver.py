@@ -6,14 +6,20 @@ the predicate ("goodness") holds, and report pieces minus one.  Goodness
 is downward closed for all supported kinds, so the structure of the
 problem is carried entirely by the inclusion-minimal bad subsets.
 
-Three engines decide goodness.  Direct probe enumeration is the
-reference; a bitmask scan handles two-factor strong-product universes
-where maps factor through the coordinates; restriction kinds go straight
-to the homotopy engine.  One solver computes every cover, by refinement:
-seed some bad sets, compute an optimal partition avoiding them (a lower
-bound), verify every piece, and harvest new bad sets from failures until
-the partition verifies.  A small universe just gets the full seed, every
-minimal bad set, so its first partition verifies at once.
+A kind is a tuple of maps and an optional probe family.  A piece is good
+when consecutive maps are homotopic on it, or for one map when that map
+is nullhomotopic there; cat of an image is cat of its identity.  Without
+a family "on the piece" means on its inclusion, with one it means after
+every probe map into the piece, and each such question is one session
+query.  A bitmask scan answers the same questions faster on two-factor
+strong-product universes whose maps factor through the coordinates, and
+for the identity of such a product.
+
+One solver computes every cover, by refinement: seed some bad sets,
+compute an optimal partition avoiding them (a lower bound), verify every
+piece, and harvest new bad sets from failures until the partition
+verifies.  A small universe just gets the full seed, every minimal bad
+set, so its first partition verifies at once.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .errors import CapExceeded, ValidationError
 from . import lattice
 from . import maps as maps_mod
 from .homotopy import DEFAULT_CAPS, NO, YES, HomotopySession
-from .lattice import DigitalImage, induced_subimage, np_product
+from .lattice import induced_subimage, np_product
 from .maps import DigitalMap, constant_map, identity_map, projection_map
 from . import probes as probes_mod
 from .probes import ProbeFamily
@@ -41,34 +47,28 @@ COLOR_NODE_CAP = 500_000
 MAX_REFINE_ROUNDS = 200
 HARVEST_CAP = 400
 
-M_TAGS = ("distance_m", "cat_m", "cat_map_m")
-RESTRICTION_TAGS = ("distance_restriction", "cat_restriction", "cat_map_restriction")
-
 
 @dataclass(frozen=True)
 class GoodnessKind:
-    """A per-piece predicate: which maps must agree (or contract) on a piece."""
+    """A per-piece predicate.  With several maps a piece is good when
+    consecutive maps agree on it; with one map, when that map contracts
+    there.  Without a family "on a piece" means on its inclusion; with one
+    it means through every probe map into the piece."""
 
-    tag: str
-    maps: tuple = ()
-    ambient: Optional[DigitalImage] = None
+    maps: tuple
     family: Optional[ProbeFamily] = None
 
     @property
     def is_m(self):
-        return self.tag in M_TAGS
+        return self.family is not None
 
     @property
     def universe_image(self):
-        if self.tag.startswith("cat_m") or self.tag == "cat_restriction":
-            return self.ambient
         return self.maps[0].domain
 
     @property
     def target_image(self):
         """Where the composites land; contractible target forces value 0."""
-        if self.tag in ("cat_m", "cat_restriction"):
-            return self.ambient
         return self.maps[0].codomain
 
 
@@ -82,20 +82,18 @@ def distance_kind(maps, family=None):
             raise ValidationError("all maps of a distance kind must share domain and codomain")
         if not maps_mod.is_continuous(h):
             raise ValidationError("distance kinds need continuous maps")
-    tag = "distance_m" if family is not None else "distance_restriction"
-    return GoodnessKind(tag, ms, None, family)
+    return GoodnessKind(ms, family)
 
 
 def cat_kind(img, family=None):
-    tag = "cat_m" if family is not None else "cat_restriction"
-    return GoodnessKind(tag, (), img, family)
+    """The category of an image is the category of its identity map."""
+    return cat_map_kind(identity_map(img), family)
 
 
 def cat_map_kind(h, family=None):
     if not maps_mod.is_continuous(h):
         raise ValidationError("cat of a map needs a continuous map")
-    tag = "cat_map_m" if family is not None else "cat_map_restriction"
-    return GoodnessKind(tag, (h,), h.domain, family)
+    return GoodnessKind((h,), family)
 
 
 @dataclass
@@ -132,11 +130,11 @@ class SolverSession:
             self._goodness[kind] = g
         return g
 
-    def induced(self, ambient, points):
-        key = (ambient.key, frozenset(points))
+    def induced(self, image, points):
+        key = (image.key, frozenset(points))
         img = self._induced.get(key)
         if img is None:
-            img = induced_subimage(ambient, points)
+            img = induced_subimage(image, points)
             self._induced[key] = img
         return img
 
@@ -181,8 +179,6 @@ class _Goodness:
 
     def chain_ok_at(self, x):
         """Pointwise necessary condition: consecutive images share a component."""
-        if self.kind.tag.startswith("cat"):
-            return True
         comp = self.target.component_id
         ms = self.kind.maps
         for i in range(len(ms) - 1):
@@ -225,52 +221,45 @@ class _Goodness:
                 self._max_bad_size = len(self.universe)
         return self._max_bad_size
 
-    def _phi_fails(self, probe, phi_values):
-        """Whether one probe map violates the kind; None when capped."""
-        kind = self.kind
-        sess = self.session
-        pimg = probe.image
-        if kind.tag == "distance_m":
-            prev = None
-            for h in kind.maps:
-                comp = tuple(h.mapping[v] for v in phi_values)
-                cid = sess.class_of(pimg, h.codomain, comp)
-                if cid is None:
-                    return None
-                if prev is not None and cid != prev:
-                    return True
-                prev = cid
-            return False
-        # cat_m and cat_map_m: the composite must be nullhomotopic.
-        if kind.tag == "cat_m":
-            cid = sess.class_of(pimg, self.universe, phi_values)
-            consts = sess.const_classes(pimg, self.universe)
+    def _fails(self, domain, values):
+        """Whether the map sending domain's points to ``values`` in the
+        universe breaks the kind: two consecutive composites are not
+        homotopic, or the one composite is not nullhomotopic.  None when
+        capped."""
+        sess = self.session.h
+        comps = [DigitalMap(domain, h.codomain,
+                            {p: h.mapping[v] for p, v in zip(domain.points, values)})
+                 for h in self.kind.maps]
+        if len(comps) == 1:
+            verdict = sess.nullhomotopic(comps[0])
         else:
-            h = kind.maps[0]
-            comp = tuple(h.mapping[v] for v in phi_values)
-            cid = sess.class_of(pimg, h.codomain, comp)
-            consts = sess.const_classes(pimg, h.codomain)
-        if cid is None or consts is None:
-            return None
-        return cid not in consts
+            verdict = True
+            for f, g in zip(comps, comps[1:]):
+                verdict = sess.homotopic(f, g)
+                if not verdict:
+                    break
+        return None if verdict is None else not verdict
 
     def check(self, X, surjective_only=False, harvest=None):
         """Reference goodness decision by direct enumeration.
 
-        With ``surjective_only`` just the maps onto X are tried, which is
-        what minimality scans need.  ``harvest`` collects failing images.
+        A piece that contracts is good.  Otherwise ``_fails`` is asked about
+        the piece's inclusion, or for m-kinds about every probe map into the
+        piece.  With ``surjective_only`` just the probe maps onto X are
+        tried, which is what minimality scans need.  ``harvest`` collects
+        the images of failing probe maps.
         """
-        kind = self.kind
         pts = sorted(X)
         bad_x = self.chain_violation(pts)
         if bad_x is not None:
             return GoodnessResult(False, {"point": list(bad_x)})
         sub = self.session.induced(self.universe, pts)
-        if not kind.is_m:
-            return self._check_restriction(sub)
-        contract = self.session.h.contractible(sub)
-        if contract:
+        if self.session.h.contractible(sub):
             return GoodnessResult(True)
+        if not self.kind.is_m:
+            fails = self._fails(sub, sub.points)
+            return GoodnessResult(None if fails is None else not fails)
+        cap = self.kind.family.map_cap(self.caps)
         for probe in self.nontrivial_probes():
             if surjective_only and len(probe.image) < len(pts):
                 continue
@@ -278,11 +267,11 @@ class _Goodness:
                 stream = maps_mod.enumerate_continuous_maps(
                     probe.image, sub,
                     surjective_only=surjective_only,
-                    cap=self.caps.max_probe_maps,
+                    cap=cap,
                     order="search",
                 )
                 for phi in stream:
-                    fails = self._phi_fails(probe, phi.values)
+                    fails = self._fails(probe.image, phi.values)
                     if fails is None:
                         return GoodnessResult(None)
                     if fails:
@@ -296,39 +285,6 @@ class _Goodness:
                         )
             except CapExceeded:
                 return GoodnessResult(None)
-        return GoodnessResult(True)
-
-    def _check_restriction(self, sub):
-        kind = self.kind
-        sess = self.session.h
-        pts = sub.points
-        contract = sess.contractible(sub)
-        if contract:
-            return GoodnessResult(True)
-        if kind.tag == "distance_restriction":
-            restricted = [
-                DigitalMap(sub, h.codomain, {p: h.mapping[p] for p in pts})
-                for h in kind.maps
-            ]
-            for i in range(len(restricted) - 1):
-                verdict = sess.homotopic(restricted[i], restricted[i + 1])
-                if verdict is None:
-                    return GoodnessResult(None)
-                if not verdict:
-                    return GoodnessResult(False, {"pair": [i, i + 1]})
-            return GoodnessResult(True)
-        if kind.tag == "cat_restriction":
-            inclusion = DigitalMap(sub, self.universe, {p: p for p in pts})
-            verdict = sess.nullhomotopic(inclusion)
-        else:
-            h = kind.maps[0]
-            verdict = sess.nullhomotopic(
-                DigitalMap(sub, h.codomain, {p: h.mapping[p] for p in pts})
-            )
-        if verdict is None:
-            return GoodnessResult(None)
-        if not verdict:
-            return GoodnessResult(False, {"restriction": "not nullhomotopic"})
         return GoodnessResult(True)
 
     # -- badness test used by minimality searches
@@ -398,19 +354,20 @@ class _E2Context:
         self.sides = sides  # per map: (side index, value table) for distance
         self.universe = kind.universe_image
         self.f1, self.f2 = self.universe.factors
-        self.offsets = self.universe._offsets
         self.probes = []
 
     @classmethod
     def build(cls, kind, session):
         uni = kind.universe_image
-        if not (uni.is_np_full and uni.factors and len(uni.factors) == 2):
+        if not (kind.is_m and uni.is_np_full and uni.factors and len(uni.factors) == 2):
             return None
         if len(uni) != len(uni.factors[0]) * len(uni.factors[1]):
             return None
-        if kind.tag == "cat_m":
+        if len(kind.maps) == 1:
+            if kind.maps[0] != identity_map(uni):
+                return None
             ctx = cls(kind, session, "cat", ())
-        elif kind.tag == "distance_m":
+        else:
             sides = []
             for h in kind.maps:
                 side = _factors_through(h, uni)
@@ -418,8 +375,6 @@ class _E2Context:
                     return None
                 sides.append(side)
             ctx = cls(kind, session, "distance", tuple(sides))
-        else:
-            return None
         try:
             ctx._prepare()
         except CapExceeded:
@@ -428,15 +383,14 @@ class _E2Context:
 
     def _prepare(self):
         g = self.session.goodness(self.kind)
+        cap = self.kind.family.map_cap(self.session.caps)
         for probe in g.nontrivial_probes():
             pimg = probe.image
             tabs = []
             for factor in (self.f1, self.f2):
                 vals = [
                     f.values
-                    for f in maps_mod.enumerate_continuous_maps(
-                        pimg, factor, cap=self.session.caps.max_probe_maps
-                    )
+                    for f in maps_mod.enumerate_continuous_maps(pimg, factor, cap=cap)
                 ]
                 pos = {p: i for i, p in enumerate(factor.points)}
                 npts = len(pimg.points)
@@ -631,7 +585,7 @@ def _scan_bad_sets(g, max_size):
     by_size = {}
     for sub in probes_mod._connected_subsets(pts, nbrs, max_size):
         by_size.setdefault(len(sub), set()).add(tuple(sorted(sub)))
-    if max_size >= 2 and not kind.is_m and kind.tag != "distance_restriction":
+    if max_size >= 2 and not kind.is_m and len(kind.maps) == 1:
         comp = uni.component_id
         for a, b in itertools.combinations(pts, 2):
             if comp(a) != comp(b):
@@ -947,13 +901,12 @@ def _route_cover(kind, session, caps, mode, exact_cap):
         wits = ({"piece": 0, "size": len(pts), "note": "contractible target"},)
         exactness = "lower_bound_family" if kind.is_m else "exact"
         return CoverResult(0, (tuple(pts),), wits, exactness, False)
-    if kind.tag.startswith("distance"):
-        bad_x = g.chain_violation(pts)
-        if bad_x is not None:
-            return CoverResult(
-                INFINITE, (), ({"point": list(bad_x)},), "exact", False,
-                ("a point's images fall in different components",),
-            )
+    bad_x = g.chain_violation(pts)
+    if bad_x is not None:
+        return CoverResult(
+            INFINITE, (), ({"point": list(bad_x)},), "exact", False,
+            ("a point's images fall in different components",),
+        )
     # A small universe gets every minimal bad set as its seed (None).
     piece_cap = None
     if kind.is_m:
@@ -1024,18 +977,21 @@ def _build_kind(name, image, maps, family, n):
             raise ValidationError(f"{name} needs an image")
         if n == 1:
             return None, n, notes
+        # Projections of a normal product are continuous by construction.
         prod = np_product([image] * n, n)
-        prs = [projection_map(prod, i) for i in range(1, n + 1)]
-        kind = distance_kind(prs, family)
+        kind = GoodnessKind(tuple(projection_map(prod, i) for i in range(1, n + 1)),
+                            family)
     else:
         if len(maps) != 1:
             raise ValidationError(f"{name} needs exactly one map")
         h = maps[0]
         if n == 1:
             return None, n, notes
+        if not maps_mod.is_continuous(h):
+            raise ValidationError("distance kinds need continuous maps")
         prod = np_product([h.domain] * n, n)
-        comps = [maps_mod.compose(h, projection_map(prod, i)) for i in range(1, n + 1)]
-        kind = distance_kind(comps, family)
+        kind = GoodnessKind(tuple(maps_mod.compose(h, projection_map(prod, i))
+                                  for i in range(1, n + 1)), family)
 
     base = image if image is not None else (maps[0].domain if maps else None)
     if base is not None and len(base.components()) > 1:

@@ -12,6 +12,7 @@ the lines from passing tests as well.
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -509,8 +510,9 @@ def test_acceptance_12_cli_determinism(tmp_path, r8):
         outputs.append(out.read_bytes())
     body = json.loads(outputs[0])
     no_failures = all(e["status"] != "fail" for e in body["entries"])
-    ok = (outputs[0] == outputs[1] == outputs[2]
+    golden = outputs[0] == (Path(__file__).parent / "golden" / "suite_R8.json").read_bytes()
+    ok = (outputs[0] == outputs[1] == outputs[2] and golden
           and no_failures and all(c in (0, 2) for c in codes))
     assert line(12, ok, f"verify-suite over the ring emitted "
                         f"{len(outputs[0])} identical bytes across 3 runs "
-                        f"with different worker counts"), codes
+                        f"with different worker counts, golden match {golden}"), codes

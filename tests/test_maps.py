@@ -83,6 +83,14 @@ def test_projection_and_diagonal(i1):
     assert compose(pr1, delta).values == identity_map(i1).values
 
 
+def test_projections_of_products_are_continuous(i1, i2, c4):
+    for factors in ([i1, c4], [i2, i1, c4], [c4, c4]):
+        for m in range(1, len(factors) + 1):
+            prod = np_product(factors, m)
+            for i in range(1, len(factors) + 1):
+                assert is_continuous(projection_map(prod, i))
+
+
 def test_tuple_map_matches_diagonal(i1):
     prod = np_product([i1, i1], 2)
     ident = identity_map(i1)

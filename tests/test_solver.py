@@ -88,6 +88,34 @@ def test_kind_constructors_validate(r8, c4):
         distance_kind([identity_map(r8), jump])
     with pytest.raises(ValidationError):
         cat_map_kind(jump)
+    with pytest.raises(ValidationError):
+        compute_invariant("TC_of_map", maps=(jump,))
+    with pytest.raises(ValidationError):
+        compute_invariant("nTC^m_of_map", maps=(jump,), family=standard_m2(), n=3)
+
+
+def test_cat_is_cat_of_identity(r8, family):
+    ident = identity_map(r8)
+    assert cat_kind(r8) == cat_map_kind(ident)
+    assert cat_kind(r8, family) == cat_map_kind(ident, family)
+    session = SolverSession(DEFAULT_CAPS)
+    compute_invariant("cat_m", image=r8, family=family, session=session)
+    covers = len(session._covers)
+    rep = compute_invariant("cat_m_of_map", maps=(ident,), family=family, session=session)
+    assert rep.value == 1
+    assert len(session._covers) == covers
+
+
+def test_family_max_maps_caps_every_probe_enumeration(r8):
+    capped = standard_m2(max_maps=5)
+    pair = (identity_map(r8), ring_rotation(r8, 1))
+    assert are_m_homotopic(*pair, capped).decided == "cap-exceeded"
+    rep = compute_invariant("D_m", maps=pair, family=capped)
+    assert rep.value is None
+    assert rep.cover.caps_hit
+    square = build_image(SQUARE, CP(1))
+    prod = np_product([square, square], 2)
+    assert SolverSession(DEFAULT_CAPS).goodness(cat_kind(prod, capped)).e2() is None
 
 
 def test_subset_good_validates_points(r8, session):
@@ -262,8 +290,9 @@ def test_unknown_and_mismatched_kinds(r8, family):
 
 
 def _oracle_kinds(img, family):
-    """cat, cat_m, D, D_m and cat_m_of_map on one image; the distance pair
-    is the identity and a map constant on each component."""
+    """cat, cat_m, D, D_m, cat_m_of_map and cat_of_map on one image; the
+    distance pair is the identity and squash, a map constant on each
+    component, which also gets a plain cat_of_map."""
     ident = identity_map(img)
     firsts = {}
     for p in img.points:
@@ -272,18 +301,21 @@ def _oracle_kinds(img, family):
                          {p: firsts[img.component_id(p)] for p in img.points})
     return (cat_kind(img), cat_kind(img, family),
             distance_kind((ident, squash)), distance_kind((ident, squash), family),
-            cat_map_kind(ident, family))
+            cat_map_kind(ident, family), cat_map_kind(squash))
 
 
 def test_solver_matches_cover_oracle(r8, c4, family, session):
     images = (r8, c4, interval_image(0, 3, name="I3"),
               build_image([(0,), (1,), (5,), (6,)], CP(1), name="split"))
     for img in images:
-        for kind in _oracle_kinds(img, family):
+        kinds = _oracle_kinds(img, family)
+        if img is r8:
+            kinds += (cat_map_kind(ring_rotation(r8, 1)),)
+        for i, kind in enumerate(kinds):
             uni = kind.universe_image.points
             got = compute_cover(kind, session=session)
             goods = maximal_good_sets(uni, minimal_bad_sets(kind, session=session))
-            assert got.value == min_cover(uni, goods).value, (img.name, kind.tag)
+            assert got.value == min_cover(uni, goods).value, (img.name, i)
             pieces = [frozenset(p) for p in got.pieces]
             assert sum(len(p) for p in pieces) == len(uni)
             assert frozenset().union(*pieces) == frozenset(uni)
@@ -292,7 +324,7 @@ def test_solver_matches_cover_oracle(r8, c4, family, session):
             g = session.goodness(kind)
             ref = _refinement_cover(kind, g, session, DEFAULT_CAPS, "exact",
                                     piece_cap=None, seed_size=2)
-            assert ref.value == got.value, (img.name, kind.tag)
+            assert ref.value == got.value, (img.name, i)
 
 
 def test_greedy_and_capped_m_covers_are_upper_bounds(r8, family, session):
@@ -316,6 +348,8 @@ def test_e2_scan_matches_reference(family):
     kind = cat_kind(prod, family)
     g = session.goodness(kind)
     assert g.e2() is not None
+    swap = digital_map(prod, prod, {p: p[2:] + p[:2] for p in prod.points})
+    assert session.goodness(cat_map_kind(swap, family)).e2() is None
     rng = random.Random(11)
     for _ in range(8):
         X = connected_subset(prod, rng.randrange(3, 9), rng)

@@ -14,7 +14,15 @@ partitions a whole map space into homotopy classes once, by union-find
 over single-point and frame moves, and answers later queries by table
 lookup, which is what makes the invariant solver practical.  A space with
 more maps than the visited-maps cap is not partitioned; the session then
-closes only the component of each queried map, by frame BFS.
+closes only the component of each queried map, by frame BFS, and remembers
+every map a capped closure touched, so no map of that component is
+searched again.
+
+A homotopy restricts to any induced subimage S of its domain: each frame
+stays continuous on S and consecutive frames stay pointwise adjacent or
+equal there.  So for a larger domain a "no" can come from the restriction
+to an induced cycle of at most ``FLAT_CLASS_LIMIT`` points, whose map space
+the session classifies; a "yes" still needs a chain of frames.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceeded, ValidationError
-from .lattice import DigitalImage, DigitalPath, interval_image, np_product
+from .lattice import DigitalImage, DigitalPath, induced_subimage, interval_image, np_product
 from .maps import (
     DigitalMap,
     compose,
@@ -424,16 +432,24 @@ class HomotopySession:
     canonical roots, and the union edges form a spanning forest that
     certificates are read from.  When the map space has more maps than the
     visited-maps cap, only the queried component is closed, by frame BFS.
-    For larger domains the session uses directed search: a single-point-move
-    A* that can only prove yes cheaply, then a frame BFS within caps.
+    A closure that hits the cap has touched more maps of one component than
+    the cap allows, and a closure from any of them would too, so every map
+    it touched is remembered and later answers None without a search.
+
+    For larger domains the session first restricts both maps to each
+    induced subimage on the shortest cycle through an edge, of at most
+    ``FLAT_CLASS_LIMIT`` points, computed once per domain.  Where the class
+    of one restriction closes without the other, the maps are not
+    homotopic.  Otherwise it uses directed search: a single-point-move A*
+    that can only prove yes cheaply, then a frame BFS within caps.
 
     ``homotopic`` and ``nullhomotopic`` are both answered by ``_decide``:
     does f reach one target map, or any constant in its component?  It
     checks components, splits full-product codomains into their factors,
     accepts at once when the codomain contracts, and otherwise reads the
-    class table or searches.  ``homotopy_inverse`` and ``m_homotopic`` run
-    many such queries on the one session, so each map space is classified
-    once per harness.
+    class table, or tries the small cycles and then searches.
+    ``homotopy_inverse`` and ``m_homotopic`` run many such queries on the
+    one session, so each map space is classified once per harness.
 
     Not thread-safe; share one session per computation, not across threads.
     """
@@ -443,6 +459,8 @@ class HomotopySession:
         self._graphs = {}
         self._roots = {}
         self._forest = {}
+        self._capped = {}
+        self._cycles = {}
         self._contract = {}
         self._dist = {}
         self._intern = {}
@@ -491,6 +509,9 @@ class HomotopySession:
         got = roots.get(values)
         if got is not None:
             return got
+        capped = self._capped.setdefault(key, set())
+        if values in capped:
+            return None
         mg = self._graph(domain, codomain)
         forest = self._forest.get(key)
         if forest is None:
@@ -500,8 +521,12 @@ class HomotopySession:
             if got is not None:
                 return got
         # The map space overran the cap: close the queried component only.
-        _, parents, _, capped = _frame_bfs(mg, values, (), self.caps)
-        if capped:
+        _, parents, _, hit_cap = _frame_bfs(mg, values, (), self.caps)
+        if hit_cap:
+            # The search touched more maps of this one component than the
+            # cap allows, and a search from any of them must touch them all
+            # before it can finish, so under these caps it would cap too.
+            capped.update(parents)
             return None
         root = min(parents)
         for state, parent in parents.items():
@@ -593,6 +618,72 @@ class HomotopySession:
         if root is None:
             return None
         return self._intern_id(("flat", f.domain.key, cod.key, root))
+
+    # -- restriction to small induced cycles
+
+    def _small_cycles(self, domain):
+        """The induced subimages on the shortest cycle through each edge of
+        the domain that has at most ``FLAT_CLASS_LIMIT`` points, each with
+        the domain positions of its points; computed once per domain."""
+        got = self._cycles.get(domain.key)
+        if got is not None:
+            return got
+        got = []
+        seen = set()
+        pos = {p: i for i, p in enumerate(domain.points)}
+        for a, b in domain.edges:
+            # A shortest path from a to b that avoids the edge ab closes the
+            # shortest cycle through it; a shorter chord would shorten it.
+            prev = {a: None}
+            frontier = [a]
+            for _ in range(FLAT_CLASS_LIMIT - 1):
+                if b in prev or not frontier:
+                    break
+                nxt = []
+                for cur in frontier:
+                    for nb in domain.neighbors(cur):
+                        if nb not in prev and (cur, nb) != (a, b):
+                            prev[nb] = cur
+                            nxt.append(nb)
+                frontier = nxt
+            if b not in prev:
+                continue
+            cycle = [b]
+            while prev[cycle[-1]] is not None:
+                cycle.append(prev[cycle[-1]])
+            points = frozenset(cycle)
+            if points not in seen:
+                seen.add(points)
+                sub = induced_subimage(domain, points)
+                got.append((sub, [pos[p] for p in sub.points]))
+        self._cycles[domain.key] = got
+        return got
+
+    def _restriction_says_no(self, f, g):
+        """Whether some small induced cycle S of the domain proves that f
+        does not reach g, or with g None any constant map.  A homotopy
+        restricts to S, so f|S and g|S lying in different components, one
+        of them closed within the caps, proves no.  False means unproven.
+        Only codomains under the bound ``_decide`` puts on the contractible
+        shortcut are tried, since ``class_root`` partitions their map spaces."""
+        cod = f.codomain
+        if len(cod) > 64:
+            return False
+        # Constant maps into one codomain component form one class, so one
+        # constant stands for all of them.
+        base = cod.components()[cod.component_id(f.values[0])][0]
+        for sub, idx in self._small_cycles(f.domain):
+            fs = tuple(f.values[i] for i in idx)
+            gs = (base,) * len(idx) if g is None else tuple(g.values[i] for i in idx)
+            if fs == gs:
+                continue
+            for a, b in ((fs, gs), (gs, fs)):
+                root = self.class_root(sub, cod, a)
+                if root is not None:
+                    if self._roots[(sub.key, cod.key)].get(b) != root:
+                        return True
+                    break
+        return False
 
     # -- contractibility
 
@@ -694,6 +785,8 @@ class HomotopySession:
             # f's whole component is closed, so membership is a lookup.
             roots = self._roots[(f.domain.key, cod.key)]
             return any(roots.get(t) == root for t in targets)
+        if self._restriction_says_no(f, g):
+            return False
         chain = self._reach(self._graph(f.domain, cod), f.values, targets)
         return None if chain is None else bool(chain)
 
@@ -712,8 +805,8 @@ class HomotopySession:
     def certificate_between(self, f, g):
         """A verifiable certificate for a yes answer, not necessarily
         shortest: a walk in the class forest for small flat domains, else
-        the chain that ``_reach`` found.  None when the maps are not
-        homotopic or caps prevented a decision."""
+        the chain that ``_reach`` found once no small cycle proved no.  None
+        when the maps are not homotopic or caps prevented a decision."""
         _validate_parallel(f, g)
         if f.values == g.values:
             return HomotopyCertificate((f,))
@@ -728,7 +821,7 @@ class HomotopySession:
                 forest = self._forest[(f.domain.key, cod.key)]
                 chain = _chain_to(forest, f.values)[::-1] + _chain_to(forest, g.values)[1:]
                 return _certificate_from_chain(f.domain, cod, chain)
-        if _component_mismatch(f, g) is not None:
+        if _component_mismatch(f, g) is not None or self._restriction_says_no(f, g):
             return None
         chain = self._reach(self._graph(f.domain, cod), f.values, {g.values})
         return _certificate_from_chain(f.domain, cod, chain) if chain else None

@@ -440,11 +440,13 @@ class _E2Context:
                 any1 |= 1 << i
                 if key:
                     ok1[key[0]] = ok1.get(key[0], 0) | (1 << i)
+        # When every map factors through side 2, no side-1 key constrains the
+        # pair, so a consistent side-2 key accepts every side-1 map.
         key2 = []
         for key in keys2:
             if len(set(key)) > 1:
                 key2.append(("bad",))
-            elif key:
+            elif key and side_js[0]:
                 key2.append(("cls", key[0]))
             else:
                 key2.append(("free",))

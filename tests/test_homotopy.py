@@ -17,6 +17,7 @@ from dighom import (
     path_space_with_fibration,
     verify_certificate,
 )
+from dighom import homotopy
 from dighom.errors import CapExceeded, ValidationError
 from dighom.homotopy import (
     CAP,
@@ -341,7 +342,7 @@ def test_session_partition_matches_reference_search(shared_session, pair):
         assert check.ok, check.reason
 
 
-def test_session_over_cap_closes_queried_component(r8):
+def test_session_over_cap_closes_queried_component(r8, monkeypatch):
     # 100 visited maps is below the 8 872 continuous self-maps of R8, so the
     # space is not partitioned; the 8 rotations still form a closable
     # component, while a null map's component overruns the cap.
@@ -355,13 +356,31 @@ def test_session_over_cap_closes_queried_component(r8):
     cert = session.certificate_between(ident, rot)
     assert cert is not None and verify_certificate(cert, ident, rot).ok
     null = constant_map(r8, r8, RING8[0])
+    searches = []
+    real_bfs = homotopy._frame_bfs
+
+    def counted_bfs(*args):
+        searches.append(real_bfs(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(homotopy, "_frame_bfs", counted_bfs)
     assert session.class_root(r8, r8, null.values) is None
+    [(_, parents, _, capped)] = searches
+    assert capped
+    # Every map the capped search touched lies in the one over-cap
+    # component, so no query about any of them searches again.
+    other = max(parents)
+    assert other != null.values
+    assert session.class_root(r8, r8, other) is None
     assert session.homotopic(null, constant_map(r8, r8, RING8[4])) is None
+    assert len(searches) == 1
 
 
-def _racket():
-    """R8 with a 4-point tail off (2, 1): 12 points, above FLAT_CLASS_LIMIT."""
-    return build_image(RING8 + [(2 + i, 1) for i in range(1, 5)], CP(1), name="racket12")
+def _racket(tail=4):
+    """R8 with a straight tail off (2, 1); with the default 4-point tail it
+    has 12 points, above FLAT_CLASS_LIMIT."""
+    return build_image(RING8 + [(2 + i, 1) for i in range(1, tail + 1)], CP(1),
+                       name=f"racket{8 + tail}")
 
 
 def _ring_map(racket, r8, ring_index):
@@ -389,3 +408,67 @@ def test_session_big_domain_matches_reference(r8):
     assert session.nullhomotopic(folded) is True
     # Twelve points are too many to classify: the answers came from search.
     assert (racket.key, r8.key) not in session._roots
+
+
+def test_session_big_domain_no_from_ring_under_cap(r8):
+    # At cap 1 000 a null map's component overruns the cap, on the racket
+    # and on its ring alike; the winding map's component on the ring closes
+    # without the null map in it, which proves no.
+    racket = _racket()
+    session = HomotopySession(SearchCaps(max_visited_maps=1000))
+    folded = _ring_map(racket, r8, lambda i: min(i, 8 - i))
+    forward = _ring_map(racket, r8, lambda i: i)
+    assert session.homotopic(folded, forward) is False
+    assert session.homotopic(forward, folded) is False
+    assert session.nullhomotopic(forward) is False
+
+
+def test_session_certificate_between_windings_skips_search(r8):
+    racket = _racket()
+    session = HomotopySession(SearchCaps(max_visited_maps=1000))
+    forward = _ring_map(racket, r8, lambda i: i)
+    backward = _ring_map(racket, r8, lambda i: -i)
+    assert session.certificate_between(forward, backward) is None
+    # The ring proved no, so no search ran over the racket's map space.
+    assert (racket.key, r8.key) not in session._graphs
+
+
+# Domains with a small induced cycle, each marked whether R8 lies inside
+# it, so that maps from it can wind around the ring.
+_RESTRICT_DOMAINS = [(_C4, False), (_R8, True), (_racket(1), True), (_racket(2), True)]
+
+
+@st.composite
+def _ring_domain_maps(draw):
+    """Two maps into R8 from one domain, each random or winding once
+    around the ring: random maps into R8 are almost all null, and only
+    winding maps let the restriction say no."""
+    dom, winds = draw(st.sampled_from(_RESTRICT_DOMAINS))
+
+    def one_map():
+        if winds and draw(st.booleans()):
+            shift, sign = draw(st.integers(0, 7)), draw(st.sampled_from((1, -1)))
+            return _ring_map(dom, _R8, lambda i: shift + sign * i)
+        return random_continuous_map(dom, _R8, random.Random(draw(st.integers(0, 2**32))))
+
+    return one_map(), one_map()
+
+
+@pytest.fixture(scope="module")
+def restriction_sessions():
+    # One session per cap: under 1 000 the ring's self-map space is closed
+    # component by component, under the default cap it is partitioned.
+    return [HomotopySession(SearchCaps(max_visited_maps=1000)),
+            HomotopySession(DEFAULT_CAPS)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_ring_domain_maps(), which=st.sampled_from((0, 1)))
+def test_restriction_no_agrees_with_reference(restriction_sessions, pair, which):
+    f, g = pair
+    session = restriction_sessions[which]
+    if session._restriction_says_no(f, None):
+        assert is_nullhomotopic(f).decided == NO
+    for a, b in ((f, g), (g, f)):
+        if session._restriction_says_no(a, b):
+            assert _reference_homotopic(a, b) is False

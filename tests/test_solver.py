@@ -345,17 +345,31 @@ def test_e2_scan_matches_reference(family):
     square = build_image(SQUARE, CP(1))
     prod = np_product([square, square], 2)
     session = SolverSession(DEFAULT_CAPS)
-    kind = cat_kind(prod, family)
-    g = session.goodness(kind)
-    assert g.e2() is not None
     swap = digital_map(prod, prod, {p: p[2:] + p[:2] for p in prod.points})
     assert session.goodness(cat_map_kind(swap, family)).e2() is None
+    # Both maps of the distance kind factor through the second coordinate.
+    pr2 = projection_map(prod, 2)
+    spin = digital_map(square, square, dict(zip(SQUARE, SQUARE[1:] + SQUARE[:1])))
+    kinds = (cat_kind(prod, family), distance_kind((pr2, compose(spin, pr2)), family))
     rng = random.Random(11)
-    for _ in range(8):
-        X = connected_subset(prod, rng.randrange(3, 9), rng)
-        fast, _ = g.check_piece(X)
-        slow = g.check(X)
-        assert fast.status == slow.status
+    for kind in kinds:
+        g = session.goodness(kind)
+        assert g.e2() is not None
+        for _ in range(8):
+            X = connected_subset(prod, rng.randrange(3, 9), rng)
+            fast, _ = g.check_piece(X)
+            slow = g.check(X)
+            assert fast.status == slow.status
+
+
+def test_distance_of_maps_through_either_coordinate_agrees(r8, family, session):
+    # Equal maps are at distance 0 whichever coordinate they factor through.
+    prod = np_product([r8, r8], 2)
+    reports = [compute_invariant("D_m", maps=(projection_map(prod, i),) * 2,
+                                 family=family, session=session) for i in (1, 2)]
+    first, second = [(r.value, r.cover.exactness) for r in reports]
+    assert first[0] == 0
+    assert second == first
 
 
 # --- algebraic laws of the distance ----------------------------------------------

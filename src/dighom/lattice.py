@@ -240,10 +240,15 @@ def _derive_edges(points, spec):
 
 
 class DigitalImage:
-    """A finite set of lattice points with a materialized edge set.
+    """A finite set of lattice points with an edge set.
 
     Instances are immutable once constructed; build them through
-    ``build_image``, ``np_product`` or ``induced_subimage``.
+    ``build_image``, ``np_product`` or ``induced_subimage``.  Images from
+    ``build_image``, ``induced_subimage`` and ``image_from_json`` hold their
+    edges from the start.  A product from ``np_product`` holds its points,
+    factors and m, and builds its edges from the factors the first time an
+    edge query (``neighbors``, ``has_edge``, ``edges``, ``components``,
+    ``key``, an induced subimage) reads them.
     """
 
     __slots__ = (
@@ -269,12 +274,9 @@ class DigitalImage:
         self.dim = len(pts[0])
         self.spec = spec
         self.name = name
-        self._edge_set = frozenset(edges)
-        nbrs = {p: [] for p in pts}
-        for a, b in self._edge_set:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        self._nbrs = {p: tuple(sorted(v)) for p, v in nbrs.items()}
+        self._edge_set = self._nbrs = None
+        if edges is not None:
+            self._set_edges(edges)
         self._index = {p: i for i, p in enumerate(self.points)}
         self.factors = tuple(factors) if factors else None
         self.np_m = np_m
@@ -302,26 +304,50 @@ class DigitalImage:
     def __iter__(self):
         return iter(self.points)
 
+    def _set_edges(self, edges):
+        self._edge_set = frozenset(edges)
+        nbrs = {p: [] for p in self.points}
+        for a, b in self._edge_set:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        self._nbrs = {p: tuple(sorted(v)) for p, v in nbrs.items()}
+
+    def _built_edges(self):
+        """The edge set; a product from np_product builds it, with the
+        neighbour table, from its factors on the first call."""
+        if self._edge_set is None:
+            self._set_edges(_product_edges(self.factors, self.np_m))
+        return self._edge_set
+
     def __eq__(self, other):
         if not isinstance(other, DigitalImage):
             return NotImplemented
-        return self.points == other.points and self._edge_set == other._edge_set
+        if self.points != other.points:
+            return False
+        # A product's edges follow from its factors and m.
+        if (self.factors is not None and other.factors is not None
+                and self.np_m == other.np_m and self.factors == other.factors):
+            return True
+        return self._built_edges() == other._built_edges()
 
     def __hash__(self):
-        return hash((self.points, self._edge_set))
+        return hash(self.points)
 
     def __repr__(self):
         label = self.name or "image"
-        return f"<DigitalImage {label}: {len(self.points)} points, {len(self._edge_set)} edges, dim {self.dim}>"
+        return f"<DigitalImage {label}: {len(self.points)} points, {len(self._built_edges())} edges, dim {self.dim}>"
 
     def neighbors(self, p):
+        if self._nbrs is None:
+            self._built_edges()
         return self._nbrs[p]
 
     def closed_neighborhood(self, p):
-        merged = sorted(self._nbrs[p] + (p,))
-        return tuple(merged)
+        return tuple(sorted(self.neighbors(p) + (p,)))
 
     def has_edge(self, a, b):
+        if self._edge_set is None:
+            self._built_edges()
         return a != b and (min(a, b), max(a, b)) in self._edge_set
 
     def adjacent_or_equal(self, a, b):
@@ -331,7 +357,7 @@ class DigitalImage:
     def edges(self):
         """Edges as sorted normalized pairs, sorted once per image."""
         if self._edges is None:
-            self._edges = tuple(sorted(self._edge_set))
+            self._edges = tuple(sorted(self._built_edges()))
         return self._edges
 
     @property
@@ -345,6 +371,7 @@ class DigitalImage:
 
     def components(self):
         if self._components is None:
+            self._built_edges()
             seen = set()
             comps = []
             for start in self.points:
@@ -417,8 +444,9 @@ def interval_image(a, b, name=""):
 def np_product(images, m, name=""):
     """Normal product of images: tuples adjacent when at most m factors move.
 
-    With m equal to the number of factors this is the strong product; the
-    result remembers its factor images so projections can be formed later.
+    With m equal to the number of factors this is the strong product.  The
+    result keeps its factor images, so projections can be formed later, and
+    builds its edges from them only when an edge query first reads them.
     """
     imgs = list(images)
     if not imgs:
@@ -427,23 +455,26 @@ def np_product(images, m, name=""):
         raise ValidationError(f"np product m={m} out of range for {len(imgs)} factors")
     dims = tuple(f.dim for f in imgs)
     spec = NP(tuple(f.spec for f in imgs), m, dims)
-    points = []
-    for combo in iterproduct(*(f.points for f in imgs)):
-        points.append(tuple(c for blk in combo for c in blk))
-    pts = set(points)
+    points = [tuple(c for blk in combo for c in blk)
+              for combo in iterproduct(*(f.points for f in imgs))]
+    return DigitalImage(points, spec, None, factors=imgs, np_m=m, name=name)
+
+
+def _product_edges(factors, m):
+    """Edges of the normal product of factor images, at most m factors moving."""
     edges = set()
-    k = len(imgs)
-    for combo in iterproduct(*(f.points for f in imgs)):
+    k = len(factors)
+    for combo in iterproduct(*(f.points for f in factors)):
         a = tuple(c for blk in combo for c in blk)
         for moved in _subsets_upto(k, m):
             choices = [
-                imgs[i].neighbors(combo[i]) if i in moved else (combo[i],) for i in range(k)
+                factors[i].neighbors(combo[i]) if i in moved else (combo[i],) for i in range(k)
             ]
             for nb_combo in iterproduct(*choices):
                 b = tuple(c for blk in nb_combo for c in blk)
-                if a < b and b in pts:
+                if a < b:
                     edges.add((a, b))
-    return DigitalImage(pts, spec, edges, factors=imgs, np_m=m, name=name)
+    return edges
 
 
 def dominance_violation(spec_a, spec_b, points):
@@ -480,7 +511,7 @@ def induced_subimage(img, subset, name=""):
         if p not in img:
             raise ValidationError(f"{p!r} is not a point of the ambient image")
     keep = set(sub)
-    edges = {(a, b) for a, b in img._edge_set if a in keep and b in keep}
+    edges = {(a, b) for a, b in img._built_edges() if a in keep and b in keep}
     return DigitalImage(keep, Induced(img.spec), edges, name=name)
 
 
@@ -509,10 +540,12 @@ def _spec_to_json(spec, img=None):
     if isinstance(spec, CP):
         return {"type": "cp", "p": spec.p}
     if isinstance(spec, NP):
+        # An induced factor needs its image to list its edges.
+        parts = img.factors if img is not None and img.factors else [None] * len(spec.factors)
         return {
             "type": "np",
             "m": spec.m,
-            "factors": [_spec_to_json(f) for f in spec.factors],
+            "factors": [_spec_to_json(f, part) for f, part in zip(spec.factors, parts)],
             "dims": list(spec.dims),
         }
     if isinstance(spec, Explicit):

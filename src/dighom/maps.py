@@ -217,11 +217,16 @@ def enumerate_continuous_maps(domain, codomain, *, surjective_only=False, cap=No
     n = len(points)
     targets = codomain.points
     need = len(codomain) if surjective_only else 0
-    earlier = []
+    # A point's candidates are the closed neighbourhood of its first placed
+    # neighbour's value; sorted like targets, so lex order is kept.
+    nbhd = {v: codomain.closed_neighborhood(v) for v in targets}
+    near = {v: frozenset(c) for v, c in nbhd.items()}
+    anchor, checks = [], []
     pos = {p: i for i, p in enumerate(points)}
     for i, p in enumerate(points):
-        earlier.append([pos[q] for q in domain.neighbors(p) if pos[q] < i])
-    adj_ok = codomain.adjacent_or_equal
+        earlier = [pos[q] for q in domain.neighbors(p) if pos[q] < i]
+        anchor.append(earlier[0] if earlier else None)
+        checks.append(earlier[1:])
     assign = [None] * n
     produced = 0
 
@@ -239,21 +244,19 @@ def enumerate_continuous_maps(domain, codomain, *, surjective_only=False, cap=No
             return
         if surjective_only and need - len(used) > n - i:
             return
-        for v in targets:
-            ok = True
-            for j in earlier[i]:
-                if not adj_ok(assign[j], v):
-                    ok = False
+        a = anchor[i]
+        for v in targets if a is None else nbhd[assign[a]]:
+            for j in checks[i]:
+                if v not in near[assign[j]]:
                     break
-            if not ok:
-                continue
-            assign[i] = v
-            new = v not in used
-            if new:
-                used.add(v)
-            yield from rec(i + 1, used)
-            if new:
-                used.discard(v)
+            else:
+                assign[i] = v
+                new = v not in used
+                if new:
+                    used.add(v)
+                yield from rec(i + 1, used)
+                if new:
+                    used.discard(v)
         assign[i] = None
 
     yield from rec(0, set())

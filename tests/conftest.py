@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from dighom import CP, build_image, standard_m2
+from dighom import CP, build_image, lattice, standard_m2
 from dighom.lattice import interval_image
 from dighom.solver import SolverSession
 from dighom.homotopy import DEFAULT_CAPS
@@ -60,3 +62,17 @@ def rotation_of(ring_points):
     """The one-step cyclic rotation of an 8-ring, as a point mapping."""
     return {ring_points[i]: ring_points[(i + 1) % len(ring_points)]
             for i in range(len(ring_points))}
+
+
+@pytest.fixture
+def product_builds(monkeypatch):
+    """Sizes of the products whose edges get built while the test runs."""
+    sizes = []
+    build = lattice._product_edges
+
+    def counting_build(factors, m):
+        sizes.append(math.prod(len(f) for f in factors))
+        return build(factors, m)
+
+    monkeypatch.setattr(lattice, "_product_edges", counting_build)
+    return sizes

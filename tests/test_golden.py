@@ -39,6 +39,11 @@ _CASES = {
                                     "--probes", "standard-m2"], 0),
     "TCm_C4.json": ("C4", ["compute", "TC^m", "--image", "{image}",
                            "--probes", "standard-m2"], 0),
+    "nTCm3_R8.json": ("R8", ["compute", "nTC^m", "--image", "{image}", "--n", "3",
+                             "--probes", "standard-m2"], 2),
+    "nTCm4_R8.json": ("R8", ["compute", "nTC^m", "--image", "{image}", "--n", "4",
+                             "--probes", "standard-m2"], 2),
+    "nTC3_R8.json": ("R8", ["compute", "nTC", "--image", "{image}", "--n", "3"], 2),
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dighom import CP, NP, build_image, np_product, induced_subimage
 from dighom.errors import ValidationError
 from dighom.lattice import (
+    Explicit,
     cp_adjacent,
     dominance_violation,
     dominates,
@@ -166,3 +167,51 @@ def test_ring8_is_chordless(r8):
             adjacent = normalize_edge(cyc[i], cyc[j]) in set(r8.edges)
             consecutive = (j - i) in (1, 7)
             assert adjacent == consecutive
+
+
+def _explicit_graph(size, pairs):
+    edges = frozenset(normalize_edge((a % size,), (b % size,))
+                      for a, b in pairs if a % size != b % size)
+    return build_image([(i,) for i in range(size)], Explicit(edges))
+
+
+def _ring_piece(subset):
+    return induced_subimage(build_image(RING8, CP(1)), subset)
+
+
+small_factors = st.one_of(
+    st.integers(0, 2).map(lambda b: interval_image(0, b)),
+    st.just(SQUARE).map(lambda pts: build_image(pts, CP(1))),
+    st.builds(_explicit_graph, st.integers(1, 4),
+              st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5)),
+    st.sets(st.sampled_from(RING8), min_size=1, max_size=5).map(_ring_piece),
+)
+
+
+@given(st.lists(small_factors, min_size=1, max_size=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_equals_product_derived_from_its_spec(factors, data):
+    """np_product builds its edges from the factors; build_image derives them
+    from the NP spec; both give the same image."""
+    m = data.draw(st.integers(1, len(factors)))
+    prod = np_product(factors, m)
+    eager = build_image(prod.points, prod.spec)
+    assert prod.points == eager.points
+    assert prod.edges == eager.edges
+    for p in prod.points:
+        assert prod.neighbors(p) == eager.neighbors(p)
+        assert prod.component_id(p) == eager.component_id(p)
+    assert prod.components() == eager.components()
+    assert prod.key == eager.key
+    assert prod == eager and eager == prod
+    assert hash(prod) == hash(eager)
+    back = image_from_json(image_to_json(prod))
+    assert back == prod and prod == back
+
+
+def test_product_equality_and_hash_leave_edges_unbuilt(r8, product_builds):
+    big, again = np_product([r8] * 4, 4), np_product([r8] * 4, 4)
+    assert big == again and hash(big) == hash(again)
+    assert product_builds == []
+    assert np_product([r8] * 2, 2) != np_product([r8] * 2, 1)
+    assert product_builds == [64, 64]

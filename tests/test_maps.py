@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dighom import CP, build_image, np_product
 from dighom.errors import CapExceeded, ValidationError
-from dighom.lattice import induced_subimage, interval_image
+from dighom.lattice import Explicit, induced_subimage, interval_image
 from dighom.maps import (
     compose,
     constant_map,
@@ -123,6 +123,24 @@ def test_enumerate_count_interval_to_cycle(i1, c4):
 def test_enumerate_brute_force_agreement_small(i2, c4):
     maps = list(enumerate_continuous_maps(i2, c4))
     assert sorted(m.values for m in maps) == brute_force_continuous(i2, c4)
+
+
+def test_enumeration_stream_is_the_filtered_product(c4, r8):
+    """The lex stream is every assignment in itertools.product order that
+    keeps edges adjacent-or-equal; the search order yields the same set."""
+    paw = build_image([(0,), (1,), (2,), (3,)], Explicit(frozenset(
+        {((0,), (1,)), ((0,), (2,)), ((1,), (2,)), ((2,), (3,))})))
+    for dom, cod in ((c4, c4), (interval_image(0, 2), r8), (paw, c4)):
+        index = {p: i for i, p in enumerate(dom.points)}
+        want = [vals for vals in itertools.product(cod.points, repeat=len(dom))
+                if all(cod.adjacent_or_equal(vals[index[a]], vals[index[b]])
+                       for a, b in dom.edges)]
+        lex = [m.values for m in enumerate_continuous_maps(dom, cod)]
+        assert lex == want
+        search = [m.values for m in enumerate_continuous_maps(dom, cod, order="search")]
+        assert sorted(search) == want
+        onto = [m.values for m in enumerate_continuous_maps(dom, cod, surjective_only=True)]
+        assert onto == [vals for vals in want if len(set(vals)) == len(cod)]
 
 
 def test_enumerate_surjective_filter(i1, c4):

@@ -302,8 +302,9 @@ def _constant_targets(f):
 def _factor_maps(f):
     """The coordinate maps of f into the factors of its full-product codomain."""
     cod = f.codomain
-    for factor, (a, b) in zip(cod.factors, cod._offsets):
-        yield _map_from_values(f.domain, factor, [v[a:b] for v in f.values])
+    blocks = zip(*(cod.split_point(v) for v in f.values))
+    for factor, values in zip(cod.factors, blocks):
+        yield _map_from_values(f.domain, factor, values)
 
 
 def _reference_search(f, g, caps):

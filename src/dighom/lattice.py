@@ -138,30 +138,6 @@ def _validate_spec(spec, dim):
         raise ValidationError(f"unknown adjacency spec {spec!r}")
 
 
-def spec_adjacent(a, b, spec):
-    """Pointwise adjacency test for a spec, independent of any point set."""
-    if isinstance(spec, CP):
-        return cp_adjacent(a, b, spec.p)
-    if isinstance(spec, NP):
-        if a == b:
-            return False
-        moved = 0
-        off = 0
-        for sub, d in zip(spec.factors, spec.dims):
-            xa, xb = a[off : off + d], b[off : off + d]
-            off += d
-            if xa != xb:
-                moved += 1
-                if moved > spec.m or not spec_adjacent(xa, xb, sub):
-                    return False
-        return moved >= 1
-    if isinstance(spec, Explicit):
-        return a != b and normalize_edge(a, b) in spec.edges
-    if isinstance(spec, Induced):
-        return spec_adjacent(a, b, spec.parent)
-    raise ValidationError(f"unknown adjacency spec {spec!r}")
-
-
 def _cp_offsets(dim, p):
     # All nonzero moves in {-1,0,1}^dim with at most p moving coordinates.
     out = []

@@ -13,7 +13,11 @@ a family "on the piece" means on its inclusion, with one it means after
 every probe map into the piece, and each such question is one session
 query.  A bitmask scan answers the same questions faster on two-factor
 strong-product universes whose maps factor through the coordinates, and
-for the identity of such a product.
+for the identity of such a product.  It labels each coordinate map of a
+probe map "bad" (it alone breaks the kind), "free" (it constrains
+nothing) or with the one class the kind's maps through its side give it;
+a probe map is good when neither label is "bad" and the two are equal or
+one is "free".
 
 One solver computes every cover, by refinement: seed some bad sets,
 compute an optimal partition avoiding them (a lower bound), verify every
@@ -119,7 +123,6 @@ class SolverSession:
         self.caps = caps
         self.h = HomotopySession(caps)
         self._goodness = {}
-        self._const_classes = {}
         self._induced = {}
         self._covers = {}
 
@@ -138,27 +141,15 @@ class SolverSession:
             self._induced[key] = img
         return img
 
-    def class_of(self, domain, codomain, values):
-        """Interned homotopy class id of the map with these values, via the
-        session's componentwise decomposition over full products."""
-        return self.h.class_of(DigitalMap(domain, codomain, dict(zip(domain.points, values))))
 
-    def const_classes(self, domain, codomain):
-        """Interned class ids of the constant maps; safe for product
-        codomains, where flat closures would be astronomically large."""
-        key = (domain.key, codomain.key)
-        got = self._const_classes.get(key)
-        if got is None:
-            ids = set()
-            n = len(domain)
-            for x in codomain.points:
-                cid = self.class_of(domain, codomain, (x,) * n)
-                if cid is None:
-                    return None
-                ids.add(cid)
-            got = frozenset(ids)
-            self._const_classes[key] = got
-        return got
+def _session_for(caps, session):
+    """The session to run on.  A given session's caps are the caps: an
+    explicit ``caps`` that differs from them is an error."""
+    if session is None:
+        return SolverSession(DEFAULT_CAPS if caps is None else caps)
+    if caps is not None and caps != session.caps:
+        raise ValidationError(f"caps {caps} differ from the session's caps {session.caps}")
+    return session
 
 
 class _Goodness:
@@ -330,51 +321,60 @@ class _Goodness:
         """Goodness with the fastest applicable engine, harvesting failures."""
         e2 = self.e2()
         if e2 is not None:
-            good, fails = e2.scan(frozenset(X))
-            images = [e2.pair_image(pi, a, b) for pi, a, b in fails]
-            return GoodnessResult(True if good else False), images
+            images = e2.scan(frozenset(X))
+            return GoodnessResult(not images), images
         harvest = []
         res = self.check(X, harvest=harvest)
         return res, harvest
 
 
 class _E2Context:
-    """Bitmask goodness scans over a two-factor strong-product universe.
+    """Bitmask goodness scans over a two-factor full strong product.
 
     A continuous map from a probe into the product is exactly a pair of
     continuous coordinate maps whose pointwise pairs stay inside the piece.
-    With per-point position masks the compatible partners of each map come
-    out of a few big-integer ANDs, and class agreement is one mask test.
+    Each coordinate map gets a label.  It is "bad" when it alone breaks the
+    kind: for the identity, when it is not null; for a distance kind, when
+    the kind's maps through its side send it to different classes.  It is
+    "free" when it constrains nothing: a null coordinate map of the
+    identity, or any map on a side no map of the kind goes through.
+    Otherwise its label is the one class the kind's maps through its side
+    give it.  A pair is good when neither label is "bad" and the two are
+    equal or one is "free".
+
+    Per probe, ``_prepare`` stores for each side-2 map the mask of side-1
+    partners that would make a failing pair, and for each probe point the
+    side-1 maps sending it to each factor point; ``scan`` ANDs the columns
+    of the piece into each fail mask.
     """
 
-    def __init__(self, kind, session, mode, sides):
+    def __init__(self, kind, session, tables):
         self.kind = kind
         self.session = session
-        self.mode = mode  # "distance" or "cat"
-        self.sides = sides  # per map: (side index, value table) for distance
+        # Per side, the value tables of the kind's maps through it; None
+        # for the identity.
+        self.tables = tables
         self.universe = kind.universe_image
-        self.f1, self.f2 = self.universe.factors
         self.probes = []
 
     @classmethod
     def build(cls, kind, session):
         uni = kind.universe_image
-        if not (kind.is_m and uni.is_np_full and uni.factors and len(uni.factors) == 2):
-            return None
-        if len(uni) != len(uni.factors[0]) * len(uni.factors[1]):
+        if not (kind.is_m and uni.is_np_full and len(uni.factors) == 2):
             return None
         if len(kind.maps) == 1:
             if kind.maps[0] != identity_map(uni):
                 return None
-            ctx = cls(kind, session, "cat", ())
+            tables = None
         else:
-            sides = []
+            tables = ([], [])
             for h in kind.maps:
-                side = _factors_through(h, uni)
-                if side is None:
+                through = _factors_through(h, uni)
+                if through is None:
                     return None
-                sides.append(side)
-            ctx = cls(kind, session, "distance", tuple(sides))
+                side, table = through
+                tables[side].append(table)
+        ctx = cls(kind, session, tables)
         try:
             ctx._prepare()
         except CapExceeded:
@@ -386,174 +386,99 @@ class _E2Context:
         cap = self.kind.family.map_cap(self.session.caps)
         for probe in g.nontrivial_probes():
             pimg = probe.image
-            tabs = []
-            for factor in (self.f1, self.f2):
-                vals = [
-                    f.values
-                    for f in maps_mod.enumerate_continuous_maps(pimg, factor, cap=cap)
-                ]
-                pos = {p: i for i, p in enumerate(factor.points)}
-                npts = len(pimg.points)
-                mpos = [[0] * len(factor.points) for _ in range(npts)]
-                for i, v in enumerate(vals):
-                    bit = 1 << i
-                    for t in range(npts):
-                        mpos[t][pos[v[t]]] |= bit
-                tabs.append({"vals": vals, "mpos": mpos, "pos": pos})
-            if self.mode == "cat":
-                ok1, any1, key2 = self._null_tables(probe, tabs)
-            else:
-                ok1, any1, key2 = self._class_tables(probe, tabs)
-            self.probes.append(
-                {"probe": probe, "tabs": tabs, "ok1": ok1, "any1": any1, "key2": key2}
-            )
+            vals1, vals2 = [
+                [f.values for f in maps_mod.enumerate_continuous_maps(pimg, factor, cap=cap)]
+                for factor in self.universe.factors
+            ]
+            # Bit i of at[t][a] is set when side-1 map i sends point t to a.
+            at = [{} for _ in pimg.points]
+            for i, v in enumerate(vals1):
+                for t, a in enumerate(v):
+                    at[t][a] = at[t].get(a, 0) | (1 << i)
+            by_label = {}
+            for i, label in enumerate(self._labels(pimg, 0, vals1)):
+                by_label[label] = by_label.get(label, 0) | (1 << i)
+            # The side-1 partners that fail with each side-2 label, one
+            # shared mask per label: a class fails with every label that
+            # is neither "free" nor that class.
+            everyone = (1 << len(vals1)) - 1
+            free1 = by_label.get("free", 0)
+            fail_of = {label: everyone & ~(free1 | m) for label, m in by_label.items()}
+            fail_of.update(bad=everyone, free=by_label.get("bad", 0))
+            unmatched = everyone & ~free1
+            fail = [fail_of.get(label, unmatched) for label in self._labels(pimg, 1, vals2)]
+            self.probes.append((vals1, at, vals2, fail))
 
-    def _class_tables(self, probe, tabs):
-        """Masks over side-1 maps per common class, and side-2 keys."""
-        pimg = probe.image
-        side_js = ([], [])
-        for j, (side, table) in enumerate(self.sides):
-            side_js[side].append((j, table))
-        cod = self.kind.maps[0].codomain
+    def _labels(self, pimg, side, vals):
+        """The label of each coordinate map, given by its values, from the
+        probe image into the factor on ``side``."""
+        h = self.session.h
 
-        def keys_for(side_idx):
-            vals = tabs[side_idx]["vals"]
-            js = side_js[side_idx]
-            out = []
-            for v in vals:
-                key = []
-                for _, table in js:
-                    cid = self.session.class_of(pimg, cod, tuple(table[x] for x in v))
-                    if cid is None:
-                        raise CapExceeded("class closure capped in product engine",
-                                          cap_name="max_visited_maps")
-                    key.append(cid)
-                out.append(tuple(key))
-            return out
-
-        keys1 = keys_for(0)
-        keys2 = keys_for(1)
-        ok1 = {}
-        any1 = 0
-        for i, key in enumerate(keys1):
-            if len(set(key)) <= 1:
-                any1 |= 1 << i
-                if key:
-                    ok1[key[0]] = ok1.get(key[0], 0) | (1 << i)
-        # When every map factors through side 2, no side-1 key constrains the
-        # pair, so a consistent side-2 key accepts every side-1 map.
-        key2 = []
-        for key in keys2:
-            if len(set(key)) > 1:
-                key2.append(("bad",))
-            elif key and side_js[0]:
-                key2.append(("cls", key[0]))
-            else:
-                key2.append(("free",))
-        return ok1, any1, key2
-
-    def _null_tables(self, probe, tabs):
-        """Nullhomotopy masks: a pair is good when both coordinates are null."""
-        sess = self.session
-        pimg = probe.image
-
-        def null_flags(side_idx, factor):
-            consts = sess.const_classes(pimg, factor)
-            if consts is None:
-                raise CapExceeded("constant classes capped in product engine",
+        def class_id(cod, values):
+            cid = h.class_of(DigitalMap(pimg, cod, dict(zip(pimg.points, values))))
+            if cid is None:
+                raise CapExceeded("class closure capped in product engine",
                                   cap_name="max_visited_maps")
-            flags = []
-            for v in tabs[side_idx]["vals"]:
-                cid = sess.class_of(pimg, factor, v)
-                if cid is None:
-                    raise CapExceeded("class closure capped in product engine",
-                                      cap_name="max_visited_maps")
-                flags.append(cid in consts)
-            return flags
+            return cid
 
-        flags1 = null_flags(0, self.f1)
-        flags2 = null_flags(1, self.f2)
-        null1 = 0
-        for i, ok in enumerate(flags1):
-            if ok:
-                null1 |= 1 << i
-        key2 = [("cls", "null") if ok else ("bad",) for ok in flags2]
-        # In cat mode ok1 maps the single key "null" to the null mask.
-        return {"null": null1}, null1, key2
+        if self.tables is None:
+            factor = self.universe.factors[side]
+            null = {class_id(factor, (x,) * len(pimg)) for x in factor.points}
+            return ["free" if class_id(factor, v) in null else "bad" for v in vals]
+        tables = self.tables[side]
+        if not tables:
+            return ["free"] * len(vals)
+        cod = self.kind.target_image
+        labels = []
+        for v in vals:
+            ids = {class_id(cod, tuple(table[x] for x in v)) for table in tables}
+            labels.append(ids.pop() if len(ids) == 1 else "bad")
+        return labels
 
-    def pair_image(self, probe_idx, i1, i2):
-        entry = self.probes[probe_idx]
-        v1 = entry["tabs"][0]["vals"][i1]
-        v2 = entry["tabs"][1]["vals"][i2]
-        return frozenset(a + b for a, b in zip(v1, v2))
-
-    def scan(self, X, harvest_cap=HARVEST_CAP):
-        """Check a piece; on failure return up to harvest_cap failing pairs
-        as (probe_idx embedded) coordinate index pairs."""
-        fails = []
-        good = True
-        for pidx, entry in enumerate(self.probes):
-            tabs = entry["tabs"]
-            npts = len(entry["probe"].image.points)
-            pos2 = tabs[1]["pos"]
-            by_second = {}
-            for u in X:
-                a, b = self.universe.split_point(u)
-                by_second.setdefault(b, []).append(a)
-            pos1 = tabs[0]["pos"]
-            mpos1 = tabs[0]["mpos"]
-            colmask = [dict() for _ in range(npts)]
-            for b, alist in by_second.items():
-                for t in range(npts):
+    def scan(self, X):
+        """The images of failing probe maps into the piece X, at most
+        ``HARVEST_CAP`` of them; X is good when there are none."""
+        by_second = {}
+        for u in X:
+            a, b = self.universe.split_point(u)
+            by_second.setdefault(b, []).append(a)
+        images = []
+        for vals1, at, vals2, fail in self.probes:
+            # Bit i of cols[t][b] is set when side-1 map i sends point t to
+            # some a with (a, b) in X.
+            cols = []
+            for at_t in at:
+                col = {}
+                for b, alist in by_second.items():
                     m = 0
                     for a in alist:
-                        m |= mpos1[t][pos1[a]]
-                    colmask[t][b] = m
-            ok1 = entry["ok1"]
-            any1 = entry["any1"]
-            key2 = entry["key2"]
-            for j, v2 in enumerate(tabs[1]["vals"]):
-                adm = None
-                for t in range(npts):
-                    m = colmask[t].get(v2[t], 0)
-                    adm = m if adm is None else adm & m
-                    if not adm:
+                        m |= at_t.get(a, 0)
+                    col[b] = m
+                cols.append(col)
+            for v2, mask in zip(vals2, fail):
+                for col, b in zip(cols, v2):
+                    mask &= col.get(b, 0)
+                    if not mask:
                         break
-                if not adm:
-                    continue
-                tag = key2[j]
-                if tag[0] == "bad":
-                    failmask = adm
-                elif tag[0] == "free":
-                    failmask = adm & ~any1
-                else:
-                    failmask = adm & ~ok1.get(tag[1], 0)
-                while failmask and len(fails) < harvest_cap:
-                    low = (failmask & -failmask).bit_length() - 1
-                    fails.append((pidx, low, j))
-                    failmask &= failmask - 1
-                    good = False
-                if failmask:
-                    good = False
-                if not good and len(fails) >= harvest_cap:
-                    return False, fails
-        return good, fails
+                while mask:
+                    low = mask & -mask
+                    v1 = vals1[low.bit_length() - 1]
+                    images.append(frozenset(a + b for a, b in zip(v1, v2)))
+                    if len(images) == HARVEST_CAP:
+                        return images
+                    mask ^= low
+        return images
 
 
 def _factors_through(h, product):
     """If h depends on only one coordinate block, return (side, value table)."""
-    offsets = product._offsets
     for side in range(2):
-        a, b = offsets[side]
         table = {}
-        ok = True
         for u in product.points:
-            blk = u[a:b]
             v = h.mapping[u]
-            if table.setdefault(blk, v) != v:
-                ok = False
+            if table.setdefault(product.split_point(u)[side], v) != v:
                 break
-        if ok:
+        else:
             return side, table
     return None
 
@@ -561,9 +486,9 @@ def _factors_through(h, product):
 # --- public pipeline operations -------------------------------------------------
 
 
-def subset_good(kind, X, caps=DEFAULT_CAPS, session=None):
+def subset_good(kind, X, caps=None, session=None):
     """Reference goodness decision for one piece."""
-    session = session or SolverSession(caps)
+    session = _session_for(caps, session)
     pts = frozenset(X)
     if not pts:
         raise ValidationError("pieces must be nonempty")
@@ -601,14 +526,14 @@ def _scan_bad_sets(g, max_size):
     return found
 
 
-def minimal_bad_sets(kind, caps=DEFAULT_CAPS, session=None):
+def minimal_bad_sets(kind, caps=None, session=None):
     """All inclusion-minimal subsets failing goodness, smallest first.
 
     For m-kinds candidates are no larger than the biggest non-contractible
     probe, because a minimal bad set must be the image of a failing
     surjective probe map.  Restriction kinds scan subsets of every size.
     """
-    session = session or SolverSession(caps)
+    session = _session_for(caps, session)
     g = session.goodness(kind)
     return _scan_bad_sets(g, min(g.max_bad_size(), len(g.universe)))
 
@@ -816,7 +741,7 @@ def _undecided(kind, note):
     return CoverResult(None, (), (), tag, True, (note,))
 
 
-def _refinement_cover(kind, g, session, caps, mode, piece_cap, seed_size):
+def _refinement_cover(kind, g, session, mode, piece_cap, seed_size):
     """Lazy-exact cover: partition against known bad sets, verify, harvest.
 
     The seed is every minimal bad set when seed_size is None, else the
@@ -824,7 +749,7 @@ def _refinement_cover(kind, g, session, caps, mode, piece_cap, seed_size):
     """
     pts = list(kind.universe_image.points)
     if seed_size is None:
-        bads = minimal_bad_sets(kind, caps, session)
+        bads = minimal_bad_sets(kind, session=session)
     else:
         bads = _scan_bad_sets(g, seed_size) if seed_size else []
     known = set(bads)
@@ -878,23 +803,23 @@ def _refinement_cover(kind, g, session, caps, mode, piece_cap, seed_size):
     return _undecided(kind, "refinement round cap exceeded")
 
 
-def compute_cover(kind, caps=DEFAULT_CAPS, mode="exact", session=None,
+def compute_cover(kind, caps=None, mode="exact", session=None,
                   exact_cap=EXACT_COVER_CAP):
     """Route one goodness kind to the engine that can decide it."""
-    session = session or SolverSession(caps)
+    session = _session_for(caps, session)
     memo_key = (kind, mode, exact_cap)
     cached = session._covers.get(memo_key)
     if cached is not None:
         return cached
     try:
-        result = _route_cover(kind, session, caps, mode, exact_cap)
+        result = _route_cover(kind, session, mode, exact_cap)
     except CapExceeded as exc:
         result = _undecided(kind, str(exc))
     session._covers[memo_key] = result
     return result
 
 
-def _route_cover(kind, session, caps, mode, exact_cap):
+def _route_cover(kind, session, mode, exact_cap):
     g = session.goodness(kind)
     uni = kind.universe_image
     pts = uni.points
@@ -929,7 +854,7 @@ def _route_cover(kind, session, caps, mode, exact_cap):
     over_cap = seed_size is None and mode != "greedy" and len(pts) > exact_cap
     if over_cap:
         mode = "greedy"
-    cover = _refinement_cover(kind, g, session, caps, mode, piece_cap, seed_size)
+    cover = _refinement_cover(kind, g, session, mode, piece_cap, seed_size)
     if over_cap and cover.value is not None:
         note = f"universe above the exact-cover cap {exact_cap}; greedy used"
         cover = replace(cover, caps_hit=True, notes=cover.notes + (note,))
@@ -1017,7 +942,7 @@ class InvariantReport:
 
 
 def compute_invariant(name, *, image=None, maps=(), family=None, n=None,
-                      mode="exact", caps=DEFAULT_CAPS, session=None,
+                      mode="exact", caps=None, session=None,
                       exact_cap=EXACT_COVER_CAP):
     """Compute one named invariant and wrap the cover in a report."""
     if name not in KIND_NAMES:
@@ -1029,6 +954,8 @@ def compute_invariant(name, *, image=None, maps=(), family=None, n=None,
                               f"use the m-variant instead")
     maps = tuple(maps)
     kind, used_n, notes = _build_kind(name, image, maps, family, n)
+    session = _session_for(caps, session)
+    caps = session.caps
     inputs = {}
     if image is not None:
         inputs["image"] = lattice.image_to_json(image)
@@ -1046,7 +973,6 @@ def compute_invariant(name, *, image=None, maps=(), family=None, n=None,
                             (N1_CONVENTION_NOTE,))
         return InvariantReport(name, used_n, cover, family, inputs, config,
                                tuple(notes))
-    session = session or SolverSession(caps)
     cover = compute_cover(kind, caps, mode, session, exact_cap)
     return InvariantReport(name, used_n, cover, family, inputs, config,
                            tuple(notes))
@@ -1218,18 +1144,18 @@ def suite_to_json(report, image=None, family=None):
     }
 
 
-def verify_inequality_suite(image, family, caps=DEFAULT_CAPS, pairs=(),
+def verify_inequality_suite(image, family, caps=None, pairs=(),
                             session=None, exact_cap=EXACT_COVER_CAP):
     """Evaluate the theorem inequalities on one image, with optional map pairs.
 
     Each entry carries both sides' values; entries whose inputs could not
     be decided under the caps come out "undecided" rather than pass/fail.
     """
-    session = session or SolverSession(caps)
+    session = _session_for(caps, session)
     notes = []
 
     def inv(name, **kw):
-        rep = compute_invariant(name, caps=caps, session=session,
+        rep = compute_invariant(name, session=session,
                                 exact_cap=exact_cap, **kw)
         return rep.value
 
@@ -1369,7 +1295,7 @@ class InvarianceReport:
 
 
 def check_equivalence_invariance(h_list, k_list, omega1, omega2, family,
-                                 caps=DEFAULT_CAPS, session=None):
+                                 caps=None, session=None):
     """Distance is preserved along homotopy equivalences of both ends.
 
     Hypotheses are re-verified before the conclusion is asserted, so a
@@ -1380,7 +1306,7 @@ def check_equivalence_invariance(h_list, k_list, omega1, omega2, family,
     ks = tuple(k_list)
     if len(hs) != len(ks) or len(hs) < 2:
         raise ValidationError("need matching lists of at least two maps")
-    session = session or SolverSession(caps)
+    session = _session_for(caps, session)
     hyp = []
     for name, omega in (("omega1", omega1), ("omega2", omega2)):
         try:
@@ -1399,8 +1325,6 @@ def check_equivalence_invariance(h_list, k_list, omega1, omega2, family,
         hyp.append((f"omega1*h_{i}*omega2 ~ k_{i}", ok, detail))
     if not all(ok for _, ok, _ in hyp):
         return InvarianceReport(tuple(hyp), None, None)
-    rep_h = compute_invariant("D_m", maps=hs, family=family, caps=caps,
-                              session=session)
-    rep_k = compute_invariant("D_m", maps=ks, family=family, caps=caps,
-                              session=session)
+    rep_h = compute_invariant("D_m", maps=hs, family=family, session=session)
+    rep_k = compute_invariant("D_m", maps=ks, family=family, session=session)
     return InvarianceReport(tuple(hyp), rep_h.value, rep_k.value)

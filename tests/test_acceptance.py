@@ -75,7 +75,7 @@ def distance_via_refinement(maps, family, session):
     router, as an independent code path for the cross-checks."""
     kind = distance_kind(maps, family)
     g = session.goodness(kind)
-    cover = _refinement_cover(kind, g, session, DEFAULT_CAPS, "exact",
+    cover = _refinement_cover(kind, g, session, "exact",
                               piece_cap=None, seed_size=2)
     return cover.value
 

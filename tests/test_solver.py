@@ -278,6 +278,34 @@ def test_tiny_caps_turn_undecided(r8):
     assert rep.cover.caps_hit
 
 
+def test_session_caps_are_the_caps(r8, c4, family):
+    small = SearchCaps(max_visited_maps=10, max_probe_maps=10)
+    rep = compute_invariant("cat_m", image=r8, family=family,
+                            session=SolverSession(small))
+    assert rep.value is None
+    assert rep.config["caps"] == {"max_visited_maps": 10, "max_probe_maps": 10}
+    fresh = compute_invariant("cat_m", image=r8, family=family, caps=small)
+    assert report_to_json(fresh) == report_to_json(rep)
+    # Explicit caps equal to the session's are fine; different ones are not.
+    same = compute_invariant("cat_m", image=r8, family=family, caps=DEFAULT_CAPS,
+                             session=SolverSession(DEFAULT_CAPS))
+    assert same.value == 1
+    kind = cat_kind(r8, family)
+    ident = identity_map(c4)
+    calls = (
+        lambda s: compute_invariant("cat_m", image=r8, family=family, caps=small, session=s),
+        lambda s: compute_cover(kind, small, session=s),
+        lambda s: subset_good(kind, r8.points[:2], caps=small, session=s),
+        lambda s: minimal_bad_sets(kind, small, s),
+        lambda s: verify_inequality_suite(r8, family, small, session=s),
+        lambda s: check_equivalence_invariance((ident, ident), (ident, ident),
+                                               ident, ident, family, small, s),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call(SolverSession(DEFAULT_CAPS))
+
+
 def test_unknown_and_mismatched_kinds(r8, family):
     with pytest.raises(ValidationError):
         compute_invariant("width", image=r8)
@@ -323,7 +351,7 @@ def test_solver_matches_cover_oracle(r8, c4, family, session):
             for piece in pieces:
                 assert subset_good(kind, piece, session=session).status is True
             g = session.goodness(kind)
-            ref = _refinement_cover(kind, g, session, DEFAULT_CAPS, "exact",
+            ref = _refinement_cover(kind, g, session, "exact",
                                     piece_cap=None, seed_size=2)
             assert ref.value == got.value, (img.name, i)
 
@@ -342,7 +370,7 @@ def test_greedy_and_capped_m_covers_are_upper_bounds(r8, family, session):
     assert "universe above the exact-cover cap 4; greedy used" in capped.cover.notes
 
 
-def test_e2_scan_matches_reference(family):
+def test_e2_scan_matches_reference(r8, family):
     square = build_image(SQUARE, CP(1))
     prod = np_product([square, square], 2)
     session = SolverSession(DEFAULT_CAPS)
@@ -361,6 +389,40 @@ def test_e2_scan_matches_reference(family):
             fast, _ = g.check_piece(X)
             slow = g.check(X)
             assert fast.status == slow.status
+
+    # C4 contracts here, so every piece above is good.  On R8 x R8 each
+    # kind below finds some of these pieces good and others bad.
+    prod = np_product([r8, r8], 2)
+    pr1, pr2 = projection_map(prod, 1), projection_map(prod, 2)
+    refl = digital_map(r8, r8, {p: p[::-1] for p in RING8})
+    flip2 = compose(refl, pr2)
+    kinds = (
+        cat_kind(prod, family),
+        distance_kind((pr1, pr2), family),
+        distance_kind((pr2, flip2), family),
+        distance_kind((pr1, flip2), family),
+        # Two maps through side 1 can disagree there, whatever side 2 does.
+        distance_kind((pr1, compose(refl, pr1), pr2), family),
+    )
+    a0, a1 = RING8[0], RING8[1]
+    pieces = (
+        [a + a0 for a in RING8],
+        [a + a for a in RING8],
+        [a + a[::-1] for a in RING8],
+        [a0 + a0, a1 + a0, a0 + a1],
+    )
+    for k, kind in enumerate(kinds):
+        g = session.goodness(kind)
+        assert g.e2() is not None, k
+        seen = set()
+        for X in pieces:
+            fast, images = g.check_piece(X)
+            assert fast.status == g.check(X).status, (k, X)
+            seen.add(fast.status)
+            assert bool(images) == (fast.status is False), (k, X)
+            for img in images[:3]:
+                assert g.check(img).status is False, (k, X, img)
+        assert seen == {True, False}, k
 
 
 def test_distance_of_maps_through_either_coordinate_agrees(r8, family, session):

@@ -9,14 +9,15 @@ of intermediate frames.
 
 The search state space grows exponentially with the domain, so every
 entry point takes explicit caps and reports "cap-exceeded" rather than
-guessing.  A ``HomotopySession`` adds memoization: for small domains it
-partitions a whole map space into homotopy classes once, by union-find
+guessing.  The plain frame BFS of ``are_homotopic`` and ``is_nullhomotopic``
+is the reference.  A ``HomotopySession`` adds memoization: for small domains
+it partitions a whole map space into homotopy classes once, by union-find
 over single-point and frame moves, and answers later queries by table
 lookup, which is what makes the invariant solver practical.  A space with
 more maps than the visited-maps cap is not partitioned; the session then
 closes only the component of each queried map, by frame BFS, and remembers
 every map a capped closure touched, so no map of that component is
-searched again.
+searched again.  Everything else goes through one directed search.
 
 A homotopy restricts to any induced subimage S of its domain: each frame
 stays continuous on S and consecutive frames stay pointwise adjacent or
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -99,13 +100,17 @@ class CertificateCheck:
     reason: str = ""
 
 
+def _require_continuous(f, label="map"):
+    bad = continuity_violation(f)
+    if bad is not None:
+        raise ValidationError(f"{label} is not continuous, e.g. on edge {bad!r}")
+
+
 def _validate_parallel(f, g):
     if f.domain != g.domain or f.codomain != g.codomain:
         raise ValidationError("maps must share domain and codomain")
-    for h, label in ((f, "first"), (g, "second")):
-        bad = continuity_violation(h)
-        if bad is not None:
-            raise ValidationError(f"{label} map is not continuous, e.g. on edge {bad!r}")
+    _require_continuous(f, "first map")
+    _require_continuous(g, "second map")
 
 
 def one_step_related(f, g):
@@ -336,9 +341,7 @@ def are_homotopic(f, g, caps=DEFAULT_CAPS):
 
 def is_nullhomotopic(f, caps=DEFAULT_CAPS):
     """Decide whether f is homotopic to some constant map (multi-target BFS)."""
-    bad = continuity_violation(f)
-    if bad is not None:
-        raise ValidationError(f"map is not continuous, e.g. on edge {bad!r}")
+    _require_continuous(f)
     return _reference_search(f, None, caps)
 
 
@@ -430,27 +433,27 @@ class HomotopySession:
     a (domain, codomain) pair partitions that whole map space into its
     homotopy classes: union-find over single-point moves, then over frame
     moves from the maps outside the largest class.  Later queries compare
-    canonical roots, and the union edges form a spanning forest that
-    certificates are read from.  When the map space has more maps than the
+    canonical roots.  When the map space has more maps than the
     visited-maps cap, only the queried component is closed, by frame BFS.
     A closure that hits the cap has touched more maps of one component than
     the cap allows, and a closure from any of them would too, so every map
     it touched is remembered and later answers None without a search.
 
-    For larger domains the session first restricts both maps to each
-    induced subimage on the shortest cycle through an edge, of at most
-    ``FLAT_CLASS_LIMIT`` points, computed once per domain.  Where the class
-    of one restriction closes without the other, the maps are not
-    homotopic.  Otherwise it uses directed search: a single-point-move A*
-    that can only prove yes cheaply, then a frame BFS within caps.
+    Every other question goes to ``_reach``, the one directed search from
+    f to g, or with g None to any constant map: a component check; for
+    larger domains the restriction to each induced subimage on the
+    shortest cycle through an edge, of at most ``FLAT_CLASS_LIMIT`` points,
+    where a class that closes without the other restriction proves no; a
+    single-point-move A* that can only prove yes; a frame BFS within caps.
+    Its chain of states is the certificate.
 
     ``homotopic`` and ``nullhomotopic`` are both answered by ``_decide``:
-    does f reach one target map, or any constant in its component?  It
-    checks components, splits full-product codomains into their factors,
-    accepts at once when the codomain contracts, and otherwise reads the
-    class table, or tries the small cycles and then searches.
-    ``homotopy_inverse`` and ``m_homotopic`` run many such queries on the
-    one session, so each map space is classified once per harness.
+    it splits full-product codomains into their factors, accepts at once
+    when the codomain contracts, and otherwise reads the class table or
+    asks ``_reach``.  ``contractible`` asks ``_reach`` whether the identity
+    reaches a constant, classifying no map space.  ``homotopy_inverse`` and
+    ``m_homotopic`` run many queries on the one session, so each map space
+    is classified once per harness.
 
     Not thread-safe; share one session per computation, not across threads.
     """
@@ -459,12 +462,11 @@ class HomotopySession:
         self.caps = caps
         self._graphs = {}
         self._roots = {}
-        self._forest = {}
+        self._partitioned = set()
         self._capped = {}
         self._cycles = {}
         self._contract = {}
         self._dist = {}
-        self._intern = {}
 
     # -- plumbing
 
@@ -493,70 +495,61 @@ class HomotopySession:
             self._dist[codomain.key] = tab
         return tab
 
-    def _intern_id(self, obj):
-        got = self._intern.get(obj)
-        if got is None:
-            got = len(self._intern)
-            self._intern[obj] = got
-        return got
-
     # -- component classification for small domains
 
     def class_root(self, domain, codomain, values):
         """Canonical representative (minimum value tuple) of the homotopy
-        component containing the given map; None when closure hit the cap."""
+        component containing the given map; None when closure hit the cap.
+        Raises ValidationError for a discontinuous map."""
         key = (domain.key, codomain.key)
         roots = self._roots.setdefault(key, {})
         got = roots.get(values)
         if got is not None:
             return got
-        capped = self._capped.setdefault(key, set())
-        if values in capped:
-            return None
-        mg = self._graph(domain, codomain)
-        forest = self._forest.get(key)
-        if forest is None:
-            forest = self._partition(mg, roots)
-            self._forest[key] = forest
+        if key not in self._partitioned and key not in self._capped:
+            self._partition(key, self._graph(domain, codomain))
             got = roots.get(values)
             if got is not None:
                 return got
+        if values in self._capped.get(key, ()):
+            return None
+        # A partitioned space holds every continuous map, and a closure
+        # from a discontinuous one would hand it a root.
+        _require_continuous(_map_from_values(domain, codomain, values))
         # The map space overran the cap: close the queried component only.
-        _, parents, _, hit_cap = _frame_bfs(mg, values, (), self.caps)
+        _, parents, _, hit_cap = _frame_bfs(
+            self._graph(domain, codomain), values, (), self.caps)
         if hit_cap:
             # The search touched more maps of this one component than the
             # cap allows, and a search from any of them must touch them all
             # before it can finish, so under these caps it would cap too.
-            capped.update(parents)
+            self._capped[key].update(parents)
             return None
         root = min(parents)
-        for state, parent in parents.items():
-            if state not in roots:
-                roots[state] = root
-                forest[state] = parent
+        for state in parents:
+            roots.setdefault(state, root)
         return root
 
-    def _partition(self, mg, roots):
-        """Split the whole map space into homotopy classes, filling ``roots``.
+    def _partition(self, key, mg):
+        """Split the whole map space into homotopy classes, filling its roots.
 
         Single-point moves are frame moves, so union-find over them gives
         classes no coarser than the true ones.  Frame moves are then
         followed only from maps not yet in the largest class.  The frame
         relation is symmetric, so an edge skipped at both of its ends joins
         two maps already in the largest class and would merge nothing.
-        Returns the union edges as a parent forest rooted at each class
-        root; returns an empty forest, leaving ``roots`` untouched, when
-        the space has more maps than the visited-maps cap.
+        A space with more maps than the visited-maps cap is marked capped
+        instead, with no roots filled in.
         """
         budget = self.caps.max_visited_maps
         try:
             space = [f.values for f in enumerate_continuous_maps(
                 mg.domain, mg.codomain, cap=budget)]
         except CapExceeded:
-            return {}
+            self._capped[key] = set()
+            return
         index = {v: i for i, v in enumerate(space)}
         up = list(range(len(space)))
-        edges = []
 
         def find(i):
             top = i
@@ -572,7 +565,6 @@ class HomotopySession:
                 if space[b] < space[a]:
                     a, b = b, a
                 up[b] = a
-                edges.append((i, j))
 
         for i, v in enumerate(space):
             for w in mg.single_point_moves(v):
@@ -584,28 +576,14 @@ class HomotopySession:
             if find(i) != find(largest):
                 for w in mg.frame_neighbors(v, counter, budget, known=index):
                     union(i, index[w])
-
-        links = defaultdict(list)
-        for i, j in edges:
-            links[i].append(j)
-            links[j].append(i)
-        forest = {}
+        roots = self._roots[key]
         for i, v in enumerate(space):
-            top = find(i)
-            roots[v] = space[top]
-            if top == i:
-                forest[v] = None
-                stack = [i]
-                while stack:
-                    a = stack.pop()
-                    for b in links[a]:
-                        if space[b] not in forest:
-                            forest[space[b]] = space[a]
-                            stack.append(b)
-        return forest
+            roots[v] = space[find(i)]
+        self._partitioned.add(key)
 
     def class_of(self, f):
-        """Interned homotopy class id; componentwise over strong products."""
+        """Homotopy class of f: its class root, or over a strong product the
+        tuple of its coordinate maps' classes; None when capped."""
         cod = f.codomain
         if cod.is_np_full:
             ids = []
@@ -614,11 +592,8 @@ class HomotopySession:
                 if cid is None:
                     return None
                 ids.append(cid)
-            return self._intern_id(("prod", tuple(ids)))
-        root = self.class_root(f.domain, cod, f.values)
-        if root is None:
-            return None
-        return self._intern_id(("flat", f.domain.key, cod.key, root))
+            return tuple(ids)
+        return self.class_root(f.domain, cod, f.values)
 
     # -- restriction to small induced cycles
 
@@ -690,7 +665,8 @@ class HomotopySession:
 
     def contractible(self, img):
         """Whether the identity of img is nullhomotopic; None when capped.
-        A full normal product contracts exactly when every factor does."""
+        A full normal product contracts exactly when every factor does; any
+        other image costs one ``_reach``, not a classified map space."""
         if img.key in self._contract:
             return self._contract[img.key]
         if img.is_np_full and len(img.factors) > 1:
@@ -700,12 +676,12 @@ class HomotopySession:
                 if not result:
                     break
         else:
-            decided = is_nullhomotopic(identity_map(img), self.caps).decided
-            result = None if decided == CAP else decided == YES
+            chain = self._reach(identity_map(img), None)
+            result = None if chain is None else bool(chain)
         self._contract[img.key] = result
         return result
 
-    # -- directed search for larger domains
+    # -- the one directed search
 
     def _astar_single_point(self, mg, start, targets, budget):
         """Best-first search over single-point moves; sound for yes only."""
@@ -745,14 +721,23 @@ class HomotopySession:
     def _astar_budget(self):
         return max(self.caps.max_visited_maps // 4, 1000)
 
-    def _reach(self, mg, start, targets):
-        """A frame path from start into targets, as the list of its states,
-        for domains too large to classify: A* over single-point moves, then
-        frame BFS.  An empty list when no path exists, None when capped."""
+    def _reach(self, f, g):
+        """The value tuples of a frame path from f to g, or with g None to
+        some constant map; [] when there is none, None when capped.  In
+        order: the component check, the small-cycle restriction for domains
+        over ``FLAT_CLASS_LIMIT``, A* over single-point moves, frame BFS.
+        A discontinuous f raises ValidationError before any search."""
+        if _component_mismatch(f, g) is not None:
+            return []
+        if len(f.domain) > FLAT_CLASS_LIMIT and self._restriction_says_no(f, g):
+            return []
+        _require_continuous(f)
+        targets = {g.values} if g is not None else _constant_targets(f)
+        mg = self._graph(f.domain, f.codomain)
         hit, parents, _, _ = self._astar_single_point(
-            mg, start, targets, self._astar_budget())
+            mg, f.values, targets, self._astar_budget())
         if hit is None:
-            hit, parents, _, capped = _frame_bfs(mg, start, targets, self.caps)
+            hit, parents, _, capped = _frame_bfs(mg, f.values, targets, self.caps)
             if hit is None:
                 return None if capped else []
         return _chain_to(parents, hit)
@@ -764,8 +749,6 @@ class HomotopySession:
         map: True, False, or None when caps prevented a decision."""
         if g is not None and f.values == g.values:
             return True
-        if _component_mismatch(f, g) is not None:
-            return False
         cod = f.codomain
         if cod.is_np_full:
             # Both target sets are products of per-factor sets, so f reaches
@@ -778,18 +761,19 @@ class HomotopySession:
             return True
         if len(cod) <= 64 and self.contractible(cod):
             return True
-        targets = {g.values} if g is not None else _constant_targets(f)
-        if len(f.domain) <= FLAT_CLASS_LIMIT:
-            root = self.class_root(f.domain, cod, f.values)
-            if root is None:
-                return None
-            # f's whole component is closed, so membership is a lookup.
-            roots = self._roots[(f.domain.key, cod.key)]
-            return any(roots.get(t) == root for t in targets)
-        if self._restriction_says_no(f, g):
+        if len(f.domain) > FLAT_CLASS_LIMIT:
+            chain = self._reach(f, g)
+            return None if chain is None else bool(chain)
+        # Components answer no even where the closure of f would cap.
+        if _component_mismatch(f, g) is not None:
             return False
-        chain = self._reach(self._graph(f.domain, cod), f.values, targets)
-        return None if chain is None else bool(chain)
+        root = self.class_root(f.domain, cod, f.values)
+        if root is None:
+            return None
+        # f's whole component is closed, so membership is a lookup.
+        roots = self._roots[(f.domain.key, cod.key)]
+        targets = {g.values} if g is not None else _constant_targets(f)
+        return any(roots.get(t) == root for t in targets)
 
     # -- the public queries
 
@@ -805,27 +789,16 @@ class HomotopySession:
 
     def certificate_between(self, f, g):
         """A verifiable certificate for a yes answer, not necessarily
-        shortest: a walk in the class forest for small flat domains, else
-        the chain that ``_reach`` found once no small cycle proved no.  None
-        when the maps are not homotopic or caps prevented a decision."""
+        shortest: the chain that ``_reach`` found.  On small domains the
+        class table answers no first, without a search.  None when the
+        maps are not homotopic or caps prevented a decision."""
         _validate_parallel(f, g)
         if f.values == g.values:
             return HomotopyCertificate((f,))
-        cod = f.codomain
-        if len(f.domain) <= FLAT_CLASS_LIMIT and not cod.is_np_full:
-            rf = self.class_root(f.domain, cod, f.values)
-            rg = self.class_root(f.domain, cod, g.values)
-            if rf is not None and rg is not None:
-                if rf != rg:
-                    return None
-                # One tree spans each class: walk f up to its top, then down to g.
-                forest = self._forest[(f.domain.key, cod.key)]
-                chain = _chain_to(forest, f.values)[::-1] + _chain_to(forest, g.values)[1:]
-                return _certificate_from_chain(f.domain, cod, chain)
-        if _component_mismatch(f, g) is not None or self._restriction_says_no(f, g):
+        if len(f.domain) <= FLAT_CLASS_LIMIT and self._decide(f, g) is False:
             return None
-        chain = self._reach(self._graph(f.domain, cod), f.values, {g.values})
-        return _certificate_from_chain(f.domain, cod, chain) if chain else None
+        chain = self._reach(f, g)
+        return _certificate_from_chain(f.domain, f.codomain, chain) if chain else None
 
     # -- harness queries
 

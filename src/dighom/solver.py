@@ -161,7 +161,6 @@ class _Goodness:
         self.caps = session.caps
         self.universe = kind.universe_image
         self.target = kind.target_image
-        self._probe_contractible = {}
         self._e2 = None
         self._e2_tried = False
         self._max_bad_size = None
@@ -188,15 +187,12 @@ class _Goodness:
         through the pointwise component condition, checked separately."""
         out = []
         for probe in self.kind.family.complexes:
-            got = self._probe_contractible.get(probe.name)
+            got = self.session.h.contractible(probe.image)
             if got is None:
-                got = self.session.h.contractible(probe.image)
-                if got is None:
-                    raise CapExceeded(
-                        f"probe {probe.name} contractibility undecided under caps",
-                        cap_name="max_visited_maps",
-                    )
-                self._probe_contractible[probe.name] = got
+                raise CapExceeded(
+                    f"probe {probe.name} contractibility undecided under caps",
+                    cap_name="max_visited_maps",
+                )
             if not got:
                 out.append(probe)
         return out

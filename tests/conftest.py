@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dighom import CP, build_image, lattice, standard_m2
+from dighom import CP, build_image, homotopy, lattice, standard_m2
 from dighom.lattice import interval_image
 from dighom.solver import SolverSession
 from dighom.homotopy import DEFAULT_CAPS
@@ -76,3 +76,17 @@ def product_builds(monkeypatch):
 
     monkeypatch.setattr(lattice, "_product_edges", counting_build)
     return sizes
+
+
+@pytest.fixture
+def reference_search_forbidden(monkeypatch):
+    """Makes the reference frame BFS raise while the test runs, so that a
+    production path falling back to the test oracle fails; returns the
+    real search, for a test that still wants to consult the oracle."""
+    real = homotopy._reference_search
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("production code ran the reference search")
+
+    monkeypatch.setattr(homotopy, "_reference_search", refuse)
+    return real

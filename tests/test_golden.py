@@ -3,7 +3,8 @@
 A change that is meant to leave results alone must reproduce these files
 exactly; to change them on purpose, regenerate them with the same command
 lines and say so.  The R8 ``verify-suite`` golden file is checked by
-acceptance 12, which runs that suite already.
+acceptance 12, which runs that suite already.  Every case runs with the
+reference search forbidden: production answers come from the session.
 """
 
 import json
@@ -63,7 +64,7 @@ def _input_files(tmp_path, name):
 
 
 @pytest.mark.parametrize("golden", sorted(_CASES))
-def test_cli_output_matches_golden(tmp_path, golden):
+def test_cli_output_matches_golden(tmp_path, golden, reference_search_forbidden):
     name, argv, want_code = _CASES[golden]
     paths = _input_files(tmp_path, name)
     out = tmp_path / "out.json"

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dighom import (
     DEFAULT_CAPS,
@@ -29,8 +29,9 @@ from dighom.homotopy import (
     function_space_adjacent,
     one_step_related,
 )
-from dighom.lattice import CP, build_image, interval_image, np_product
+from dighom.lattice import CP, build_image, induced_subimage, interval_image, np_product
 from dighom.maps import (
+    DigitalMap,
     compose,
     constant_map,
     digital_map,
@@ -472,3 +473,94 @@ def test_restriction_no_agrees_with_reference(restriction_sessions, pair, which)
     for a, b in ((f, g), (g, f)):
         if session._restriction_says_no(a, b):
             assert _reference_homotopic(a, b) is False
+
+
+def test_session_refuses_discontinuous_maps(r8):
+    # A map that winds the racket's ring once, with its tail jumping from
+    # (2, 2) across the ring; the second map differs from it only there.
+    racket = _racket()
+    winding = _ring_map(racket, r8, lambda i: i).mapping
+    tail = [(2 + i, 1) for i in range(1, 5)]
+    f = DigitalMap(racket, r8, {**winding, **{p: (0, 0) for p in tail}})
+    g = DigitalMap(racket, r8, {**winding, **{p: (0, 2) for p in tail}})
+    # [0, 3] into R8 with 1 sent across the ring from its neighbours.
+    i3 = interval_image(0, 3)
+    h = DigitalMap(i3, r8, {(0,): (0, 0), (1,): (2, 2), (2,): (0, 0), (3,): (0, 0)})
+    for caps in (DEFAULT_CAPS, SearchCaps(max_visited_maps=100)):
+        # 100 is below the 216 continuous maps of [0, 3] into R8, so that
+        # session closes components instead of partitioning the space.
+        session = HomotopySession(caps)
+        with pytest.raises(ValidationError):
+            session.homotopic(f, g)
+        with pytest.raises(ValidationError):
+            session.nullhomotopic(h)
+        with pytest.raises(ValidationError):
+            session.class_root(i3, r8, h.values)
+        with pytest.raises(ValidationError):
+            session.certificate_between(f, g)
+    with pytest.raises(ValidationError):
+        are_homotopic(f, g)
+    with pytest.raises(ValidationError):
+        is_nullhomotopic(h)
+
+
+def test_session_certificate_between_null_maps(r8, reference_search_forbidden):
+    # Both maps are null, so they share the largest class of R8's self-maps.
+    session = HomotopySession(DEFAULT_CAPS)
+    folded = digital_map(r8, r8, {p: RING8[min(i, 8 - i)] for i, p in enumerate(RING8)})
+    const = constant_map(r8, r8, RING8[4])
+    assert session.homotopic(folded, const) is True
+    cert = session.certificate_between(folded, const)
+    assert cert is not None
+    check = verify_certificate(cert, folded, const)
+    assert check.ok, check.reason
+
+
+_GRID3 = build_image([(x, y) for x in range(3) for y in range(3)], CP(1), name="grid3")
+_SPLIT = build_image([(0,), (1,), (5,), (6,)], CP(1), name="split")
+
+
+@st.composite
+def _contractibility_images(draw):
+    """An interval, a connected induced subimage of R8 or of the 3x3 grid,
+    or one of C4, R8, the 9- and 10-point rackets and a disconnected image."""
+    kind = draw(st.sampled_from(("interval", "subimage", "named")))
+    if kind == "interval":
+        return interval_image(0, draw(st.integers(0, 6)))
+    if kind == "subimage":
+        ambient = draw(st.sampled_from((_R8, _GRID3)))
+        points = draw(st.sets(st.sampled_from(ambient.points), min_size=1))
+        sub = induced_subimage(ambient, points)
+        return induced_subimage(ambient, sub.components()[0])
+    return draw(st.sampled_from((_C4, _R8, _racket(1), _racket(2), _SPLIT)))
+
+
+_DECIDED = {YES: True, NO: False, CAP: None}
+
+
+def _reference_contractible(real_search, img, caps):
+    """``is_contractible`` with the real reference search put back."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homotopy, "_reference_search", real_search)
+        return _DECIDED[is_contractible(img, caps).decided]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(img=_contractibility_images())
+def test_session_contractible_matches_reference(img, reference_search_forbidden):
+    got = HomotopySession(DEFAULT_CAPS).contractible(img)
+    assert got is _reference_contractible(reference_search_forbidden, img, DEFAULT_CAPS)
+
+
+def test_session_contractible_under_tiny_cap(r8, i4, reference_search_forbidden):
+    # R8's identity admits no single-point move, so A* stops at once and the
+    # frame BFS overruns a cap of one map, as the reference search does.
+    tiny = SearchCaps(max_visited_maps=1)
+    assert HomotopySession(tiny).contractible(r8) is None
+    assert _reference_contractible(reference_search_forbidden, r8, tiny) is None
+    # A* searches at least 1 000 maps whatever the cap, and the interval
+    # folds up point by point, so that proof stands where the reference
+    # search gives up.
+    assert HomotopySession(tiny).contractible(i4) is True
+    assert _reference_contractible(reference_search_forbidden, i4, tiny) is None

@@ -219,6 +219,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            raise ValidationError(f"workers must be positive, got {args.workers}")
         if args.command == "image":
             if args.image_command == "validate":
                 return _cmd_image_validate(args)

@@ -433,8 +433,11 @@ class HomotopySession:
     a (domain, codomain) pair partitions that whole map space into its
     homotopy classes: union-find over single-point moves, then over frame
     moves from the maps outside the largest class.  Later queries compare
-    canonical roots.  When the map space has more maps than the
-    visited-maps cap, only the queried component is closed, by frame BFS.
+    canonical roots.  The session keeps every whole map space it
+    enumerates (``map_space``), so the class table and the product engine's
+    coordinate maps read one enumeration.  When the map space has more
+    maps than the visited-maps cap, only the queried component is closed,
+    by frame BFS.
     A closure that hits the cap has touched more maps of one component than
     the cap allows, and a closure from any of them would too, so every map
     it touched is remembered and later answers None without a search.
@@ -463,6 +466,7 @@ class HomotopySession:
         self._graphs = {}
         self._roots = {}
         self._partitioned = set()
+        self._spaces = {}
         self._capped = {}
         self._cycles = {}
         self._contract = {}
@@ -538,13 +542,14 @@ class HomotopySession:
         followed only from maps not yet in the largest class.  The frame
         relation is symmetric, so an edge skipped at both of its ends joins
         two maps already in the largest class and would merge nothing.
+        The space is read through ``map_space``, so it stays kept, in lex
+        order, for the product engine to take its coordinate maps from.
         A space with more maps than the visited-maps cap is marked capped
         instead, with no roots filled in.
         """
         budget = self.caps.max_visited_maps
         try:
-            space = [f.values for f in enumerate_continuous_maps(
-                mg.domain, mg.codomain, cap=budget)]
+            space = self.map_space(mg.domain, mg.codomain, budget)
         except CapExceeded:
             self._capped[key] = set()
             return
@@ -580,6 +585,21 @@ class HomotopySession:
         for i, v in enumerate(space):
             roots[v] = space[find(i)]
         self._partitioned.add(key)
+
+    def map_space(self, domain, codomain, cap):
+        """Every continuous map from domain to codomain, as lex-ordered value
+        tuples.  A space is enumerated once per session and kept, for the
+        class table and for the product engine's coordinate maps; a space
+        over ``cap`` raises CapExceeded and is not kept."""
+        key = (domain.key, codomain.key)
+        space = self._spaces.get(key)
+        if space is None:
+            space = [f.values for f in enumerate_continuous_maps(domain, codomain, cap=cap)]
+            self._spaces[key] = space
+        elif len(space) > cap:
+            raise CapExceeded(f"map enumeration exceeded cap of {cap}",
+                              cap_name="max_probe_maps")
+        return space
 
     def class_of(self, f):
         """Homotopy class of f: its class root, or over a strong product the

@@ -125,6 +125,7 @@ class SolverSession:
         self._goodness = {}
         self._induced = {}
         self._covers = {}
+        self._positions = {}
 
     def goodness(self, kind):
         g = self._goodness.get(kind)
@@ -140,6 +141,24 @@ class SolverSession:
             img = induced_subimage(image, points)
             self._induced[key] = img
         return img
+
+    def coordinate_maps(self, probe_image, factor, cap):
+        """The continuous maps from a probe image into a factor, lex-ordered
+        as the homotopy session keeps them, and their position masks: bit i
+        of ``at[t][a]`` is set when map i sends probe point t to a.  Both
+        are built once per session; more than ``cap`` maps raise
+        CapExceeded."""
+        vals = self.h.map_space(probe_image, factor, cap)
+        key = (probe_image.key, factor.key)
+        at = self._positions.get(key)
+        if at is None:
+            at = [{} for _ in probe_image.points]
+            for i, v in enumerate(vals):
+                bit = 1 << i
+                for at_t, a in zip(at, v):
+                    at_t[a] = at_t.get(a, 0) | bit
+            self._positions[key] = at
+        return vals, at
 
 
 def _session_for(caps, session):
@@ -338,10 +357,21 @@ class _E2Context:
     give it.  A pair is good when neither label is "bad" and the two are
     equal or one is "free".
 
-    Per probe, ``_prepare`` stores for each side-2 map the mask of side-1
-    partners that would make a failing pair, and for each probe point the
-    side-1 maps sending it to each factor point; ``scan`` ANDs the columns
-    of the piece into each fail mask.
+    Per probe and side, ``_prepare`` takes the coordinate maps and their
+    position masks (for each probe point and factor point, the maps sending
+    one to the other) from the session, which builds them once per (probe,
+    factor) and shares them between both sides and every kind.  It then
+    groups the side-2 maps by label; the side-1 partners that fail with a
+    group are one mask, fixed by the label.
+
+    ``scan`` finds the failing side-2 maps of each group from its smaller
+    side.  When the fail mask holds fewer side-1 maps than the group has
+    side-2 maps, it walks those side-1 maps and ANDs the side-2 position
+    masks of the piece; otherwise it walks the group and ANDs the side-1
+    position masks into the fail mask.  Images are then harvested from the
+    failing side-2 maps in ascending order, each with its side-1 partners
+    in ascending order, so the first ``HARVEST_CAP`` images do not depend
+    on which side was walked.
     """
 
     def __init__(self, kind, session, tables):
@@ -380,19 +410,14 @@ class _E2Context:
     def _prepare(self):
         g = self.session.goodness(self.kind)
         cap = self.kind.family.map_cap(self.session.caps)
+        factor1, factor2 = self.universe.factors
         for probe in g.nontrivial_probes():
             pimg = probe.image
-            vals1, vals2 = [
-                [f.values for f in maps_mod.enumerate_continuous_maps(pimg, factor, cap=cap)]
-                for factor in self.universe.factors
-            ]
-            # Bit i of at[t][a] is set when side-1 map i sends point t to a.
-            at = [{} for _ in pimg.points]
-            for i, v in enumerate(vals1):
-                for t, a in enumerate(v):
-                    at[t][a] = at[t].get(a, 0) | (1 << i)
+            vals1, at1 = self.session.coordinate_maps(pimg, factor1, cap)
+            vals2, at2 = self.session.coordinate_maps(pimg, factor2, cap)
+            labels1 = self._labels(pimg, 0, vals1)
             by_label = {}
-            for i, label in enumerate(self._labels(pimg, 0, vals1)):
+            for i, label in enumerate(labels1):
                 by_label[label] = by_label.get(label, 0) | (1 << i)
             # The side-1 partners that fail with each side-2 label, one
             # shared mask per label: a class fails with every label that
@@ -402,8 +427,31 @@ class _E2Context:
             fail_of = {label: everyone & ~(free1 | m) for label, m in by_label.items()}
             fail_of.update(bad=everyone, free=by_label.get("bad", 0))
             unmatched = everyone & ~free1
-            fail = [fail_of.get(label, unmatched) for label in self._labels(pimg, 1, vals2)]
-            self.probes.append((vals1, at, vals2, fail))
+            # Sides over one factor that the kind treats alike label alike.
+            if factor1.key == factor2.key and (
+                    self.tables is None or self.tables[0] == self.tables[1]):
+                labels2 = labels1
+            else:
+                labels2 = self._labels(pimg, 1, vals2)
+            group_of = {}
+            for j, label in enumerate(labels2):
+                group_of.setdefault(label, []).append(j)
+            # A group whose fail mask is the smaller side is kept as (its
+            # side-2 mask, the side-1 maps to walk, None); any other as
+            # (its fail mask, None, its side-2 maps).
+            fail = [None] * len(vals2)
+            groups = []
+            for label, js in group_of.items():
+                mask = fail_of.get(label, unmatched)
+                for j in js:
+                    fail[j] = mask
+                if not mask:
+                    continue
+                if mask.bit_count() < len(js):
+                    groups.append((sum(1 << j for j in js), list(_bits(mask)), None))
+                else:
+                    groups.append((mask, None, js))
+            self.probes.append((vals1, at1, vals2, at2, fail, groups))
 
     def _labels(self, pimg, side, vals):
         """The label of each coordinate map, given by its values, from the
@@ -411,7 +459,10 @@ class _E2Context:
         h = self.session.h
 
         def class_id(cod, values):
-            cid = h.class_of(DigitalMap(pimg, cod, dict(zip(pimg.points, values))))
+            if cod.is_np_full:
+                cid = h.class_of(DigitalMap(pimg, cod, dict(zip(pimg.points, values))))
+            else:
+                cid = h.class_root(pimg, cod, values)
             if cid is None:
                 raise CapExceeded("class closure capped in product engine",
                                   cap_name="max_visited_maps")
@@ -434,36 +485,70 @@ class _E2Context:
     def scan(self, X):
         """The images of failing probe maps into the piece X, at most
         ``HARVEST_CAP`` of them; X is good when there are none."""
-        by_second = {}
+        by_first, by_second = {}, {}
         for u in X:
             a, b = self.universe.split_point(u)
+            by_first.setdefault(a, []).append(b)
             by_second.setdefault(b, []).append(a)
         images = []
-        for vals1, at, vals2, fail in self.probes:
+        for vals1, at1, vals2, at2, fail, groups in self.probes:
             # Bit i of cols[t][b] is set when side-1 map i sends point t to
-            # some a with (a, b) in X.
-            cols = []
-            for at_t in at:
-                col = {}
-                for b, alist in by_second.items():
-                    m = 0
-                    for a in alist:
-                        m |= at_t.get(a, 0)
-                    col[b] = m
-                cols.append(col)
-            for v2, mask in zip(vals2, fail):
+            # some a with (a, b) in X; rows[t][a] likewise for side-2 maps.
+            cols = _piece_masks(at1, by_second)
+            rows = None
+            failing = 0
+            for mask, walk, js in groups:
+                if walk is None:
+                    for j in js:
+                        m = mask
+                        for col, b in zip(cols, vals2[j]):
+                            m &= col.get(b, 0)
+                            if not m:
+                                break
+                        else:
+                            failing |= 1 << j
+                    continue
+                if rows is None:
+                    rows = _piece_masks(at2, by_first)
+                for i in walk:
+                    m = mask
+                    for row, a in zip(rows, vals1[i]):
+                        m &= row.get(a, 0)
+                        if not m:
+                            break
+                    failing |= m
+            for j in _bits(failing):
+                v2 = vals2[j]
+                mask = fail[j]
                 for col, b in zip(cols, v2):
                     mask &= col.get(b, 0)
-                    if not mask:
-                        break
-                while mask:
-                    low = mask & -mask
-                    v1 = vals1[low.bit_length() - 1]
-                    images.append(frozenset(a + b for a, b in zip(v1, v2)))
+                for i in _bits(mask):
+                    images.append(frozenset(a + b for a, b in zip(vals1[i], v2)))
                     if len(images) == HARVEST_CAP:
                         return images
-                    mask ^= low
         return images
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _piece_masks(at, groups):
+    """Per probe point t, the OR of ``at[t][a]`` over each group's points a."""
+    out = []
+    for at_t in at:
+        masks = {}
+        for key, pts in groups.items():
+            m = 0
+            for p in pts:
+                m |= at_t.get(p, 0)
+            masks[key] = m
+        out.append(masks)
+    return out
 
 
 def _factors_through(h, product):
@@ -883,7 +968,11 @@ def _build_kind(name, image, maps, family, n):
         if n is None or n < 1:
             raise ValidationError(f"{name} needs n >= 1")
     else:
-        n = 2 if name in ("TC", "TC^m", "TC_of_map", "TC^m_of_map") else None
+        own = 2 if name in ("TC", "TC^m", "TC_of_map", "TC^m_of_map") else None
+        if n is not None and n != own:
+            raise ValidationError(f"{name} takes no n" if own is None
+                                  else f"{name} has n = {own}, got {n}")
+        n = own
 
     if name in ("D", "D_m"):
         kind = distance_kind(maps, family)

@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from dighom import cli
+from dighom import cli, homotopy, maps
 from dighom.lattice import CP, build_image, image_to_json, np_product
 from dighom.maps import constant_map, identity_map, map_to_json
 
@@ -273,3 +274,61 @@ def test_byte_determinism_across_runs_and_workers(capsys, square_file):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("kind, n", [("TC", "3"), ("TC^m", "1"), ("cat", "2")])
+def test_n_a_kind_fixes_or_lacks_exits_one(capsys, ring_file, kind, n):
+    code, out, err = run(capsys, "compute", kind, "--image", ring_file,
+                         "--probes", "standard-m2", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and " n" in err
+
+
+def test_verify_report_rejects_tc_report_with_other_n(capsys, tmp_path, square_file):
+    rep_path = tmp_path / "tc.json"
+    code, _, _ = run(capsys, "compute", "TC", "--image", square_file, "-o", str(rep_path))
+    assert code == 0
+    blob = json.loads(rep_path.read_text())
+    assert blob["n"] == 2
+    code2, out2, _ = run(capsys, "verify-report", str(rep_path))
+    assert code2 == 0
+    assert json.loads(out2)["status"] == "ok"
+
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps({**blob, "n": 3}))
+    code3, out3, _ = run(capsys, "verify-report", str(tampered))
+    assert code3 == 3
+    body = json.loads(out3)
+    assert body["status"] == "fail"
+    assert body["messages"][0].startswith("cannot rebuild inputs")
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_below_one_exits_one(capsys, square_file, workers):
+    code, out, err = run(capsys, "compute", "cat", "--image", square_file,
+                         "--workers", workers)
+    assert code == 1
+    assert out == ""
+    assert f"workers must be positive, got {workers}" in err
+
+
+def test_verify_suite_enumerates_the_ring_self_map_space_once(capsys, monkeypatch,
+                                                              ring_file, r8):
+    # The suite's ring is the family's cycle8, so the class table and both
+    # sides of the product engine read the one space of cycle8 -> R8 maps.
+    # The minimality scans' searches for a failing surjective map are not
+    # enumerations of the space, and are not counted.
+    calls = Counter()
+    real = maps.enumerate_continuous_maps
+
+    def counting(domain, codomain, **kwargs):
+        if not kwargs.get("surjective_only"):
+            calls[(domain.key, codomain.key)] += 1
+        return real(domain, codomain, **kwargs)
+
+    monkeypatch.setattr(maps, "enumerate_continuous_maps", counting)
+    monkeypatch.setattr(homotopy, "enumerate_continuous_maps", counting)
+    code, _, _ = run(capsys, "verify-suite", "--image", ring_file)
+    assert code == 2
+    assert calls[(r8.key, r8.key)] == 1

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import operator
 import random
 import time
 
@@ -40,6 +42,7 @@ from dighom.maps import (
 )
 from dighom.probes import ProbeFamily, standard_m2
 from dighom.solver import (
+    HARVEST_CAP,
     N1_CONVENTION_NOTE,
     _refinement_cover,
     suite_to_json,
@@ -370,6 +373,70 @@ def test_greedy_and_capped_m_covers_are_upper_bounds(r8, family, session):
     assert "universe above the exact-cover cap 4; greedy used" in capped.cover.notes
 
 
+def _r8_product_kinds(r8, family):
+    """R8 x R8, five kinds the product engine takes on it, and pieces that
+    each kind finds partly good and partly bad."""
+    prod = np_product([r8, r8], 2)
+    pr1, pr2 = projection_map(prod, 1), projection_map(prod, 2)
+    refl = digital_map(r8, r8, {p: p[::-1] for p in RING8})
+    flip2 = compose(refl, pr2)
+    kinds = (
+        cat_kind(prod, family),
+        distance_kind((pr1, pr2), family),
+        distance_kind((pr2, flip2), family),
+        distance_kind((pr1, flip2), family),
+        # Two maps through side 1 can disagree there, whatever side 2 does.
+        distance_kind((pr1, compose(refl, pr1), pr2), family),
+    )
+    a0, a1 = RING8[0], RING8[1]
+    pieces = (
+        [a + a0 for a in RING8],
+        [a + a for a in RING8],
+        [a + a[::-1] for a in RING8],
+        [a0 + a0, a1 + a0, a0 + a1],
+    )
+    return prod, kinds, pieces
+
+
+def _per_map_scan(e2, X):
+    """Reference for ``_E2Context.scan``: every side-2 map ANDs the piece's
+    side-1 position masks into its fail mask, and each survivor's partners
+    are harvested in order."""
+    by_second = {}
+    for u in X:
+        a, b = e2.universe.split_point(u)
+        by_second.setdefault(b, []).append(a)
+    images = []
+    for vals1, at1, vals2, _, fail, _ in e2.probes:
+        cols = [{b: functools.reduce(operator.or_, (at_t.get(a, 0) for a in alist), 0)
+                 for b, alist in by_second.items()} for at_t in at1]
+        for v2, mask in zip(vals2, fail):
+            for col, b in zip(cols, v2):
+                mask &= col.get(b, 0)
+            while mask:
+                low = mask & -mask
+                v1 = vals1[low.bit_length() - 1]
+                images.append(frozenset(a + b for a, b in zip(v1, v2)))
+                if len(images) == HARVEST_CAP:
+                    return images
+                mask ^= low
+    return images
+
+
+def test_e2_scan_harvest_matches_per_map_reference(r8, family, session):
+    prod, kinds, pieces = _r8_product_kinds(r8, family)
+    # The whole universe and a 59-point piece both fill the harvest.
+    pieces += (prod.points, sorted(prod.points)[:59])
+    full = 0
+    for k, kind in enumerate(kinds):
+        e2 = session.goodness(kind).e2()
+        for X in pieces:
+            got = e2.scan(frozenset(X))
+            assert got == _per_map_scan(e2, X), (k, len(X))
+            full += len(got) == HARVEST_CAP
+    assert full == 2 * len(kinds)
+
+
 def test_e2_scan_matches_reference(r8, family):
     square = build_image(SQUARE, CP(1))
     prod = np_product([square, square], 2)
@@ -392,25 +459,7 @@ def test_e2_scan_matches_reference(r8, family):
 
     # C4 contracts here, so every piece above is good.  On R8 x R8 each
     # kind below finds some of these pieces good and others bad.
-    prod = np_product([r8, r8], 2)
-    pr1, pr2 = projection_map(prod, 1), projection_map(prod, 2)
-    refl = digital_map(r8, r8, {p: p[::-1] for p in RING8})
-    flip2 = compose(refl, pr2)
-    kinds = (
-        cat_kind(prod, family),
-        distance_kind((pr1, pr2), family),
-        distance_kind((pr2, flip2), family),
-        distance_kind((pr1, flip2), family),
-        # Two maps through side 1 can disagree there, whatever side 2 does.
-        distance_kind((pr1, compose(refl, pr1), pr2), family),
-    )
-    a0, a1 = RING8[0], RING8[1]
-    pieces = (
-        [a + a0 for a in RING8],
-        [a + a for a in RING8],
-        [a + a[::-1] for a in RING8],
-        [a0 + a0, a1 + a0, a0 + a1],
-    )
+    prod, kinds, pieces = _r8_product_kinds(r8, family)
     for k, kind in enumerate(kinds):
         g = session.goodness(kind)
         assert g.e2() is not None, k

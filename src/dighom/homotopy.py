@@ -24,6 +24,9 @@ stays continuous on S and consecutive frames stay pointwise adjacent or
 equal there.  So for a larger domain a "no" can come from the restriction
 to an induced cycle of at most ``FLAT_CLASS_LIMIT`` points, whose map space
 the session classifies; a "yes" still needs a chain of frames.
+
+Only plain homotopy is decided here.  Homotopy through every probe map
+is m-homotopic distance zero, which the solver decides.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .lattice import DigitalImage, DigitalPath, induced_subimage, interval_image
 from .maps import (
     DigitalMap,
     compose,
-    constant_map,
     continuity_violation,
     enumerate_continuous_maps,
     identity_map,
@@ -84,14 +86,6 @@ class HomotopyVerdict:
     certificate: Optional[HomotopyCertificate] = None
     states_explored: int = 0
     reason: str = ""
-
-
-@dataclass
-class MHomotopyVerdict:
-    decided: str
-    witness_probe: Optional[str] = None
-    witness_map: Optional[DigitalMap] = None
-    maps_checked: int = 0
 
 
 @dataclass
@@ -356,12 +350,6 @@ def find_homotopy_inverse(f, caps=DEFAULT_CAPS):
     return HomotopySession(caps).homotopy_inverse(f)
 
 
-def are_m_homotopic(f, g, family, caps=DEFAULT_CAPS):
-    """Whether f*phi and g*phi are homotopic for every probe map phi; see
-    ``HomotopySession.m_homotopic``."""
-    return HomotopySession(caps).m_homotopic(f, g, family)
-
-
 # --- function and path spaces -------------------------------------------------
 
 
@@ -454,9 +442,9 @@ class HomotopySession:
     it splits full-product codomains into their factors, accepts at once
     when the codomain contracts, and otherwise reads the class table or
     asks ``_reach``.  ``contractible`` asks ``_reach`` whether the identity
-    reaches a constant, classifying no map space.  ``homotopy_inverse`` and
-    ``m_homotopic`` run many queries on the one session, so each map space
-    is classified once per harness.
+    reaches a constant, classifying no map space.  ``homotopy_inverse``
+    runs many queries on the one session, so each map space is classified
+    once per harness.
 
     Not thread-safe; share one session per computation, not across threads.
     """
@@ -842,42 +830,6 @@ class HomotopySession:
             if right:
                 return g
         return None
-
-    def m_homotopic(self, f, g, family):
-        """Whether f*phi and g*phi are homotopic for every probe map phi.
-
-        Probes that are themselves contractible only constrain components,
-        so they are handled by a pointwise check; the rest are enumerated.
-        """
-        _validate_parallel(f, g)
-        checked = 0
-        comp = f.codomain.component_id
-        for probe in family.complexes:
-            pimg = probe.image
-            contractible = self.contractible(pimg)
-            if contractible is None:
-                return MHomotopyVerdict(CAP, probe.name, None, checked)
-            if contractible:
-                # A contractible probe sees only where each point lands; the
-                # two composites are homotopic iff the images share a component.
-                for x in f.domain.points:
-                    checked += 1
-                    if comp(f.mapping[x]) != comp(g.mapping[x]):
-                        witness = constant_map(pimg, f.domain, x)
-                        return MHomotopyVerdict(NO, probe.name, witness, checked)
-                continue
-            cap = family.map_cap(self.caps)
-            try:
-                for phi in enumerate_continuous_maps(pimg, f.domain, cap=cap, order="search"):
-                    checked += 1
-                    verdict = self.homotopic(compose(f, phi), compose(g, phi))
-                    if verdict is None:
-                        return MHomotopyVerdict(CAP, probe.name, phi, checked)
-                    if not verdict:
-                        return MHomotopyVerdict(NO, probe.name, phi, checked)
-            except CapExceeded:
-                return MHomotopyVerdict(CAP, probe.name, None, checked)
-        return MHomotopyVerdict(YES, None, None, checked)
 
 
 # --- certificate JSON ----------------------------------------------------------

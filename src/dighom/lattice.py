@@ -24,11 +24,17 @@ MAX_DIM = 16
 MAX_COORD = 2**31
 
 
+def _is_int(value):
+    """Whether value is an integer and not a bool: JSON true and false load
+    as Python bools, which are ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_point(p, dim=None, what="point"):
     if not isinstance(p, tuple) or len(p) == 0:
         raise ValidationError(f"{what} must be a nonempty tuple of integers, got {p!r}")
     for c in p:
-        if not isinstance(c, int) or isinstance(c, bool):
+        if not _is_int(c):
             raise ValidationError(f"{what} {p!r} has a non-integer coordinate {c!r}")
         if abs(c) > MAX_COORD:
             raise ValidationError(f"{what} {p!r} has a coordinate outside +/-{MAX_COORD}")
@@ -108,12 +114,12 @@ def normalize_edge(a, b):
 
 def _validate_spec(spec, dim):
     if isinstance(spec, CP):
-        if not isinstance(spec.p, int) or not 1 <= spec.p <= dim:
+        if not _is_int(spec.p) or not 1 <= spec.p <= dim:
             raise ValidationError(f"cp spec p={spec.p!r} invalid for dimension {dim}")
     elif isinstance(spec, NP):
         if len(spec.factors) < 1 or len(spec.factors) != len(spec.dims):
             raise ValidationError("np spec needs one dimension per factor")
-        if not isinstance(spec.m, int) or not 1 <= spec.m <= len(spec.factors):
+        if not _is_int(spec.m) or not 1 <= spec.m <= len(spec.factors):
             raise ValidationError(
                 f"np spec m={spec.m!r} out of range for {len(spec.factors)} factors"
             )
@@ -539,7 +545,7 @@ def _spec_to_json(spec, img=None):
 
 
 def _point_from_json(obj, what="point"):
-    if not isinstance(obj, list) or not obj or not all(isinstance(c, int) for c in obj):
+    if not isinstance(obj, list) or not obj or not all(_is_int(c) for c in obj):
         raise ValidationError(f"{what} must be a JSON array of integers, got {obj!r}")
     return tuple(obj)
 
@@ -581,7 +587,7 @@ def _spec_from_json(obj, dim, where="adjacency"):
                 dims = [1] * len(factors)
             else:
                 raise ValidationError(f"{where}: np adjacency needs 'dims' for non-cp factors")
-        if len(dims) != len(factors) or not all(isinstance(d, int) and d >= 1 for d in dims):
+        if len(dims) != len(factors) or not all(_is_int(d) and d >= 1 for d in dims):
             raise ValidationError(f"{where}.dims: expected one positive integer per factor")
         subs = [
             _spec_from_json(f, d, f"{where}.factors[{i}]")
@@ -630,7 +636,7 @@ def image_from_json(obj):
         if field not in obj:
             raise ValidationError(f"image document missing '{field}'")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ValidationError(f"image dim must be a positive integer, got {dim!r}")
     pts = [_point_from_json(p, f"points[{i}]")
            for i, p in enumerate(_json_array(obj["points"], "image points"))]

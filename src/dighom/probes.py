@@ -46,6 +46,8 @@ class ProbeFamily:
     def __post_init__(self):
         if self.m < 1:
             raise ValidationError("probe family dimension must be at least 1")
+        if not self.complexes:
+            raise ValidationError("probe family needs at least one probe")
         for probe in self.complexes:
             if probe.dimension != self.m:
                 raise ValidationError(
@@ -217,7 +219,7 @@ def family_from_json(obj):
         if field not in obj:
             raise ValidationError(f"probe family document missing '{field}'")
     m = obj["m"]
-    if not isinstance(m, int) or m < 1:
+    if not lattice._is_int(m) or m < 1:
         raise ValidationError(f"family m must be a positive integer, got {m!r}")
     complexes = []
     for i, sub in enumerate(lattice._json_array(obj["complexes"], "family complexes")):
@@ -228,7 +230,7 @@ def family_from_json(obj):
     if not isinstance(caps, dict):
         raise ValidationError("family caps must be an object")
     max_maps = caps.get("max_maps")
-    if max_maps is not None and not isinstance(max_maps, int):
+    if max_maps is not None and not lattice._is_int(max_maps):
         raise ValidationError("max_maps must be an integer or null")
     name = obj.get("name", "")
     return ProbeFamily(m, tuple(complexes), max_maps, name=name)

@@ -24,6 +24,10 @@ compute an optimal partition avoiding them (a lower bound), verify every
 piece, and harvest new bad sets from failures until the partition
 verifies.  A small universe just gets the full seed, every minimal bad
 set, so its first partition verifies at once.
+
+Two maps are m-homotopic exactly when their m-homotopic distance is zero,
+that is when the whole domain is one good piece of their distance kind.
+``are_m_homotopic`` asks exactly that, through the same goodness check.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Optional
 from .errors import CapExceeded, ValidationError
 from . import lattice
 from . import maps as maps_mod
-from .homotopy import DEFAULT_CAPS, NO, YES, HomotopySession
+from .homotopy import CAP, DEFAULT_CAPS, NO, YES, HomotopySession
 from .lattice import induced_subimage, np_product
 from .maps import DigitalMap, constant_map, identity_map, projection_map
 from . import probes as probes_mod
@@ -103,7 +107,14 @@ def cat_map_kind(h, family=None):
 @dataclass
 class GoodnessResult:
     status: Optional[bool]  # True good, False bad, None undecided
-    witness: Optional[dict] = None
+    witness: Optional[tuple] = None  # (probe, probe map) that failed
+
+
+@dataclass
+class MHomotopyVerdict:
+    decided: str  # YES, NO or CAP
+    witness_probe: Optional[str] = None
+    witness_map: Optional[DigitalMap] = None
 
 
 @dataclass
@@ -159,6 +170,33 @@ class SolverSession:
                     at_t[a] = at_t.get(a, 0) | bit
             self._positions[key] = at
         return vals, at
+
+    def m_homotopic(self, f, g, family):
+        """Whether f*phi and g*phi are homotopic for every probe map phi:
+        whether D_m(f, g) = 0, that is the whole domain is one good piece.
+        A point whose images lie in different components is witnessed by
+        the constant map at it from the family's first probe."""
+        good = self.goodness(distance_kind((f, g), family))
+        x = good.chain_violation(f.domain.points)
+        if x is not None:
+            probe = family.complexes[0]
+            return MHomotopyVerdict(NO, probe.name, constant_map(probe.image, f.domain, x))
+        try:
+            res = good.check(f.domain.points)
+        except CapExceeded:
+            return MHomotopyVerdict(CAP)
+        if res.status is None:
+            return MHomotopyVerdict(CAP)
+        if res.status:
+            return MHomotopyVerdict(YES)
+        probe, phi = res.witness
+        return MHomotopyVerdict(NO, probe.name, phi)
+
+
+def are_m_homotopic(f, g, family, caps=DEFAULT_CAPS):
+    """Whether f*phi and g*phi are homotopic for every probe map phi; see
+    ``SolverSession.m_homotopic``."""
+    return SolverSession(caps).m_homotopic(f, g, family)
 
 
 def _session_for(caps, session):
@@ -246,19 +284,19 @@ class _Goodness:
                     break
         return None if verdict is None else not verdict
 
-    def check(self, X, surjective_only=False, harvest=None):
+    def check(self, X, surjective_only=False):
         """Reference goodness decision by direct enumeration.
 
         A piece that contracts is good.  Otherwise ``_fails`` is asked about
         the piece's inclusion, or for m-kinds about every probe map into the
         piece.  With ``surjective_only`` just the probe maps onto X are
-        tried, which is what minimality scans need.  ``harvest`` collects
-        the images of failing probe maps.
+        tried, which is what minimality scans need.  An m-kind's piece that
+        fails on a probe map has the pair (probe, probe map) as its witness;
+        any other result has none.
         """
         pts = sorted(X)
-        bad_x = self.chain_violation(pts)
-        if bad_x is not None:
-            return GoodnessResult(False, {"point": list(bad_x)})
+        if self.chain_violation(pts) is not None:
+            return GoodnessResult(False)
         sub = self.session.induced(self.universe, pts)
         if self.session.h.contractible(sub):
             return GoodnessResult(True)
@@ -281,14 +319,7 @@ class _Goodness:
                     if fails is None:
                         return GoodnessResult(None)
                     if fails:
-                        if harvest is not None:
-                            harvest.append(frozenset(phi.values))
-                        return GoodnessResult(
-                            False,
-                            {"probe": probe.name,
-                             "map": [[list(a), list(b)] for a, b in
-                                     zip(probe.image.points, phi.values)]},
-                        )
+                        return GoodnessResult(False, (probe, phi))
             except CapExceeded:
                 return GoodnessResult(None)
         return GoodnessResult(True)
@@ -338,9 +369,8 @@ class _Goodness:
         if e2 is not None:
             images = e2.scan(frozenset(X))
             return GoodnessResult(not images), images
-        harvest = []
-        res = self.check(X, harvest=harvest)
-        return res, harvest
+        res = self.check(X)
+        return res, [frozenset(res.witness[1].values)] if res.witness else []
 
 
 class _E2Context:
@@ -1118,7 +1148,7 @@ def verify_report(source, caps=DEFAULT_CAPS):
     if "maps" in inputs:
         maps = tuple(maps_mod.map_from_json(m) for m in inputs["maps"])
     n = obj.get("n")
-    if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
+    if n is not None and not lattice._is_int(n):
         raise ValidationError(f"report n must be an integer or null, got {n!r}")
     try:
         kind, _, _ = _build_kind(name, image, maps, family, n)
@@ -1340,7 +1370,7 @@ def check_fiber_m_equivalence(h, k, v, w, family, caps=DEFAULT_CAPS):
     wv = maps_mod.compose(w, v)
     id_b = identity_map(k.domain)
     id_a = identity_map(h.domain)
-    session = HomotopySession(caps)
+    session = SolverSession(caps)
     res_vw = session.m_homotopic(vw, id_b, family)
     res_wv = session.m_homotopic(wv, id_a, family)
     if res_vw.decided == NO or res_wv.decided == NO:
@@ -1354,8 +1384,8 @@ def check_fiber_m_equivalence(h, k, v, w, family, caps=DEFAULT_CAPS):
         m_eq, m_wit = True, None
     else:
         m_eq, m_wit = None, None
-    s1 = session.homotopic(vw, id_b)
-    s2 = session.homotopic(wv, id_a)
+    s1 = session.h.homotopic(vw, id_b)
+    s2 = session.h.homotopic(wv, id_a)
     strict = (s1 and s2) if (s1 is not None and s2 is not None) else (
         False if (s1 is False or s2 is False) else None
     )

@@ -239,8 +239,31 @@ _R8_JSON = image_to_json(build_image(RING8, CP(1), name="R8"))
      ["compute", "cat_of_map", "--map"]),
     ({"kind": "nTC", "n": "x", "value": 1, "pieces": [],
       "inputs": {"image": _R8_JSON}}, ["verify-report"]),
+    # JSON true loads as a Python bool, which is an int equal to 1.
+    ({"dim": True, "points": [[0], [1]], "adjacency": {"type": "cp", "p": 1}},
+     ["image", "validate"]),
+    ({**_R8_JSON, "adjacency": {"type": "cp", "p": True}}, ["image", "validate"]),
+    ({"dim": 2, "points": [[0, 0], [0, 1]],
+      "adjacency": {"type": "np", "m": True,
+                    "factors": [{"type": "cp", "p": 1}] * 2}},
+     ["image", "validate"]),
+    ({"dim": 2, "points": [[0, 0], [0, 1]],
+      "adjacency": {"type": "np", "m": 1, "dims": [True, True],
+                    "factors": [{"type": "cp", "p": 1}] * 2}},
+     ["image", "validate"]),
+    ({"m": True, "complexes": [{"dim": 1, "points": [[0]],
+                                "adjacency": {"type": "cp", "p": 1}}]},
+     ["compute", "cat", "--image", "RING", "--probes"]),
+    ({"m": 2, "complexes": [{"dim": 2, "points": [[0, 0]],
+                             "adjacency": {"type": "cp", "p": 1}}],
+      "caps": {"max_maps": True}},
+     ["compute", "cat", "--image", "RING", "--probes"]),
+    ({"kind": "cat", "n": None, "value": 0, "pieces": [[[True, False]]],
+      "inputs": {"image": _R8_JSON}}, ["verify-report"]),
 ], ids=["image-points", "explicit-edges", "np-m", "family-complexes",
-        "map-assignment", "report-n"])
+        "map-assignment", "report-n", "image-dim-bool", "cp-p-bool", "np-m-bool",
+        "np-dims-bool", "family-m-bool", "family-max-maps-bool",
+        "report-piece-point-bool"])
 def test_wrong_typed_json_field_exits_one(capsys, tmp_path, ring_file, doc, argv):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -249,6 +272,32 @@ def test_wrong_typed_json_field_exits_one(capsys, tmp_path, ring_file, doc, argv
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_compute_with_empty_probe_family_exits_one(capsys, tmp_path, r8):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"m": 2, "complexes": []}))
+    map_files = []
+    for name, h in (("ident", identity_map(r8)), ("const", constant_map(r8, r8, (0, 0)))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(map_to_json(h)))
+        map_files += ["--map", str(path)]
+    code, out, err = run(capsys, "compute", "D_m", *map_files, "--probes", str(empty))
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
+def test_verify_report_with_empty_probe_family_exits_one(capsys, tmp_path, square_file):
+    rep_path = tmp_path / "rep.json"
+    code, _, _ = run(capsys, "compute", "cat_m", "--image", square_file,
+                     "--probes", "standard-m2", "-o", str(rep_path))
+    assert code == 0
+    blob = json.loads(rep_path.read_text())
+    blob["family"]["complexes"] = []
+    rep_path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "verify-report", str(rep_path))
+    assert code == 1
+    assert out == "" and err.startswith("error:")
 
 
 def test_verify_report_undecided_exits_two(capsys, tmp_path, ring_file):

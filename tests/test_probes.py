@@ -123,6 +123,13 @@ def test_family_json_rejects_malformed():
         family_from_json({"m": "two", "complexes": []})
 
 
+def test_family_needs_a_probe():
+    with pytest.raises(ValidationError):
+        ProbeFamily(2, ())
+    with pytest.raises(ValidationError):
+        family_from_json({"m": 2, "complexes": []})
+
+
 def test_family_dimension_mismatch():
     flat = ProbeComplex("iv1", interval_image(0, 1))
     with pytest.raises(ValidationError):

@@ -14,6 +14,7 @@ from dighom import (
     HomotopySession,
     SearchCaps,
     SolverSession,
+    are_homotopic,
     are_m_homotopic,
     cat_kind,
     cat_map_kind,
@@ -38,7 +39,9 @@ from dighom.maps import (
     diagonal_map,
     digital_map,
     identity_map,
+    is_continuous,
     projection_map,
+    random_continuous_map,
 )
 from dighom.probes import ProbeFamily, standard_m2
 from dighom.solver import (
@@ -473,6 +476,21 @@ def test_e2_scan_matches_reference(r8, family):
                 assert g.check(img).status is False, (k, X, img)
         assert seen == {True, False}, k
 
+    # Maps into the full product label their coordinate maps through
+    # ``HomotopySession.class_of``.  (x, y) -> (rot x, rot x) is at distance
+    # 0 from (x, y) -> (x, x), and the reflection is at distance 1.
+    on_diagonal = functools.partial(compose, diagonal_map(r8))
+    pr1 = projection_map(prod, 1)
+    for twist, value in ((ring_rotation(r8, 1), 0), (ring_reflection(r8), 1)):
+        maps = (on_diagonal(pr1), on_diagonal(compose(twist, pr1)))
+        g = session.goodness(distance_kind(maps, family))
+        assert g.e2() is not None
+        for X in pieces:
+            fast, _ = g.check_piece(X)
+            assert fast.status == g.check(X).status, (value, X)
+        rep = compute_invariant("D_m", maps=maps, family=family, session=session)
+        assert rep.value == value
+
 
 def test_distance_of_maps_through_either_coordinate_agrees(r8, family, session):
     # Equal maps are at distance 0 whichever coordinate they factor through.
@@ -499,6 +517,71 @@ def test_distance_zero_iff_m_homotopic(r8, family, session):
                             session=session)
     assert far.value >= 1
     assert are_m_homotopic(ident, refl, family).decided == "no"
+
+
+_R8 = build_image(RING8, CP(1), name="R8")
+_SPLIT = build_image([(0,), (1,), (5,), (6,)], CP(1), name="split")
+_STANDARD = standard_m2()
+# The 4-cycle contracts under this homotopy relation, so the 8-cycle is
+# the family's only probe that does not.
+_CYCLE8_ONLY = ProbeFamily(2, tuple(p for p in _STANDARD.complexes if p.name == "cycle8"),
+                           name="cycle8-only")
+_PAIR_IMAGES = (build_image(SQUARE, CP(1), name="C4"), _R8, interval_image(0, 3), _SPLIT)
+_RIGID_R8 = [ring_rotation(_R8, k) for k in range(8)] + [
+    compose(ring_reflection(_R8), ring_rotation(_R8, k)) for k in range(8)]
+
+
+@st.composite
+def _self_map_pairs(draw):
+    """Two continuous self-maps of C4, R8, [0, 3] or {0, 1, 5, 6}; on R8
+    each is a rotation or reflection half the time, so that windings meet."""
+    img = draw(st.sampled_from(_PAIR_IMAGES))
+
+    def one_map():
+        if img is _R8 and draw(st.booleans()):
+            return draw(st.sampled_from(_RIGID_R8))
+        return random_continuous_map(img, img, random.Random(draw(st.integers(0, 2**32))))
+
+    return one_map(), one_map()
+
+
+@given(pair=_self_map_pairs(), family=st.sampled_from((_STANDARD, _CYCLE8_ONLY)))
+@settings(max_examples=40, deadline=None)
+def test_distance_zero_iff_m_homotopic_on_random_pairs(pair, family, session):
+    f, g = pair
+    rep = compute_invariant("D_m", maps=pair, family=family, session=session)
+    verdict = are_m_homotopic(f, g, family)
+    assert verdict.decided in ("yes", "no")
+    assert (rep.value == 0) == (verdict.decided == "yes")
+    if verdict.decided == "no":
+        probe = next(p for p in family.complexes if p.name == verdict.witness_probe)
+        phi = verdict.witness_map
+        assert phi.domain == probe.image and phi.codomain == f.domain
+        assert is_continuous(phi)
+        if len(set(phi.values)) == 1:
+            comp = f.codomain.component_id
+            x = phi.values[0]
+            assert comp(f.mapping[x]) != comp(g.mapping[x])
+        else:
+            assert are_homotopic(compose(f, phi), compose(g, phi)).decided == "no"
+
+
+def test_m_homotopy_component_mismatch_and_capped_probe(r8, family, session):
+    ident = identity_map(_SPLIT)
+    const = constant_map(_SPLIT, _SPLIT, (0,))
+    assert compute_invariant("D_m", maps=(ident, const), family=family,
+                             session=session).value == INFINITE
+    # (5,) is the first point whose images lie in different components.
+    verdict = are_m_homotopic(ident, const, family)
+    assert verdict.decided == "no"
+    assert verdict.witness_probe == "point"
+    assert verdict.witness_map == constant_map(family.complexes[0].image, _SPLIT, (5,))
+    # Under a cap of one visited map, whether the probe cycle8 contracts is
+    # undecided, and neither question gets an answer.
+    tiny = SearchCaps(max_visited_maps=1)
+    pair = (identity_map(r8), ring_rotation(r8, 2))
+    assert are_m_homotopic(*pair, family, tiny).decided == "cap-exceeded"
+    assert compute_invariant("D_m", maps=pair, family=family, caps=tiny).value is None
 
 
 def test_distance_symmetric_and_prefix_monotone(r8, family, session):

@@ -57,6 +57,11 @@ CAP = "cap-exceeded"
 # larger domains use directed search instead of full component closure.
 FLAT_CLASS_LIMIT = 10
 
+# Only codomains up to this many points get the contractible shortcut in
+# ``_decide`` and the small-cycle restriction, whose map spaces
+# ``class_root`` partitions.
+SMALL_CODOMAIN_LIMIT = 64
+
 
 @dataclass(frozen=True)
 class SearchCaps:
@@ -648,10 +653,9 @@ class HomotopySession:
         does not reach g, or with g None any constant map.  A homotopy
         restricts to S, so f|S and g|S lying in different components, one
         of them closed within the caps, proves no.  False means unproven.
-        Only codomains under the bound ``_decide`` puts on the contractible
-        shortcut are tried, since ``class_root`` partitions their map spaces."""
+        Only codomains of at most ``SMALL_CODOMAIN_LIMIT`` points are tried."""
         cod = f.codomain
-        if len(cod) > 64:
+        if len(cod) > SMALL_CODOMAIN_LIMIT:
             return False
         # Constant maps into one codomain component form one class, so one
         # constant stands for all of them.
@@ -767,7 +771,7 @@ class HomotopySession:
                 if not sub:
                     return sub
             return True
-        if len(cod) <= 64 and self.contractible(cod):
+        if len(cod) <= SMALL_CODOMAIN_LIMIT and self.contractible(cod):
             return True
         if len(f.domain) > FLAT_CLASS_LIMIT:
             chain = self._reach(f, g)

@@ -22,8 +22,9 @@ one is "free".
 One solver computes every cover, by refinement: seed some bad sets,
 compute an optimal partition avoiding them (a lower bound), verify every
 piece, and harvest new bad sets from failures until the partition
-verifies.  A small universe just gets the full seed, every minimal bad
-set, so its first partition verifies at once.
+verifies.  A large two-factor product that the bitmask scan handles for
+an m-kind starts from no bad sets; every other universe gets the full
+seed, every minimal bad set, so its first partition verifies at once.
 
 Two maps are m-homotopic exactly when their m-homotopic distance is zero,
 that is when the whole domain is one good piece of their distance kind.
@@ -742,7 +743,7 @@ def min_cover(universe, sets, mode="exact", exact_cap=EXACT_COVER_CAP):
 # --- partition search (hypergraph coloring) -------------------------------------
 
 
-def _min_partition(points, bads, piece_cap, node_cap=COLOR_NODE_CAP):
+def _min_partition(points, bads, node_cap=COLOR_NODE_CAP):
     """Fewest pieces avoiding every bad set, by backtracking coloring.
 
     Returns (pieces, capped): pieces None when the node cap interrupted the
@@ -750,31 +751,24 @@ def _min_partition(points, bads, piece_cap, node_cap=COLOR_NODE_CAP):
     """
     pts = sorted(points)
     if not bads:
-        if piece_cap is None or len(pts) <= piece_cap:
-            return [tuple(pts)], False
+        return [tuple(pts)], False
     blist = [frozenset(b) for b in bads]
     involve = {p: [] for p in pts}
     for bi, b in enumerate(blist):
         for p in b:
             involve[p].append(bi)
     order = sorted(pts, key=lambda p: (-len(involve[p]), p))
-    start_k = 2 if blist else 1
-    if piece_cap is not None:
-        start_k = max(start_k, -(-len(pts) // piece_cap))
 
     class _Stop(Exception):
         pass
 
-    for k in range(start_k, len(pts) + 1):
+    for k in range(2, len(pts) + 1):
         color = {}
         counts = [dict() for _ in blist]  # per bad: color -> points colored
         assigned = [0] * len(blist)
-        sizes = [0] * k
         nodes = 0
 
         def feasible(p, c):
-            if piece_cap is not None and sizes[c] >= piece_cap:
-                return False
             for bi in involve[p]:
                 b = blist[bi]
                 if assigned[bi] == len(b) - 1 and counts[bi].get(c, 0) == len(b) - 1:
@@ -783,14 +777,12 @@ def _min_partition(points, bads, piece_cap, node_cap=COLOR_NODE_CAP):
 
         def assign(p, c):
             color[p] = c
-            sizes[c] += 1
             for bi in involve[p]:
                 counts[bi][c] = counts[bi].get(c, 0) + 1
                 assigned[bi] += 1
 
         def unassign(p, c):
             del color[p]
-            sizes[c] -= 1
             for bi in involve[p]:
                 counts[bi][c] -= 1
                 assigned[bi] -= 1
@@ -824,15 +816,13 @@ def _min_partition(points, bads, piece_cap, node_cap=COLOR_NODE_CAP):
     return None, False
 
 
-def _greedy_partition(points, bads, piece_cap):
+def _greedy_partition(points, bads):
     pts = sorted(points)
     blist = [frozenset(b) for b in bads]
     pieces = []
     for p in pts:
         placed = False
         for piece in pieces:
-            if piece_cap is not None and len(piece) >= piece_cap:
-                continue
             if any(p in b and b - {p} <= piece for b in blist):
                 continue
             piece.add(p)
@@ -852,27 +842,23 @@ def _undecided(kind, note):
     return CoverResult(None, (), (), tag, True, (note,))
 
 
-def _refinement_cover(kind, g, session, mode, piece_cap, seed_size):
+def _refinement_cover(kind, g, mode, bads):
     """Lazy-exact cover: partition against known bad sets, verify, harvest.
 
-    The seed is every minimal bad set when seed_size is None, else the
-    minimal bad sets of at most seed_size points.
+    bads is the seed list; each failing piece extends it with the bad
+    sets it yields.
     """
     pts = list(kind.universe_image.points)
-    if seed_size is None:
-        bads = minimal_bad_sets(kind, session=session)
-    else:
-        bads = _scan_bad_sets(g, seed_size) if seed_size else []
     known = set(bads)
     capped_any = False
     for _ in range(MAX_REFINE_ROUNDS):
         if mode == "greedy":
-            pieces = _greedy_partition(pts, bads, piece_cap)
+            pieces = _greedy_partition(pts, bads)
         else:
-            pieces, capped = _min_partition(pts, bads, piece_cap)
+            pieces, capped = _min_partition(pts, bads)
             if capped or pieces is None:
                 capped_any = True
-                pieces = _greedy_partition(pts, bads, piece_cap)
+                pieces = _greedy_partition(pts, bads)
         failures = []
         for piece in pieces:
             res, images = g.check_piece(piece)
@@ -884,21 +870,15 @@ def _refinement_cover(kind, g, session, mode, piece_cap, seed_size):
             # The one exactness rule.  A greedy or capped partition is an
             # upper bound; an optimal one is exact, or a family lower bound
             # for m-kinds.
-            notes = []
+            notes = ()
             exactness = "lower_bound_family" if kind.is_m else "exact"
             if capped_any or mode == "greedy":
                 exactness = "upper_bound"
                 if capped_any:
-                    notes.append("partition search capped; value may exceed the optimum")
-            elif piece_cap is not None:
-                lb, lb_capped = _min_partition(pts, bads, None)
-                if lb_capped or lb is None or len(lb) < len(pieces):
-                    exactness = "upper_bound"
-                    if lb is not None:
-                        notes.append(f"lower bound {len(lb) - 1} from relaxation")
+                    notes = ("partition search capped; value may exceed the optimum",)
             wits = tuple({"piece": i, "size": len(p)} for i, p in enumerate(pieces))
             return CoverResult(len(pieces) - 1, tuple(pieces), wits, exactness,
-                               capped_any, tuple(notes))
+                               capped_any, notes)
         new = 0
         for piece, images in failures:
             if not images:
@@ -945,27 +925,20 @@ def _route_cover(kind, session, mode, exact_cap):
             INFINITE, (), ({"point": list(bad_x)},), "exact", False,
             ("a point's images fall in different components",),
         )
-    # A small universe gets every minimal bad set as its seed (None).
-    piece_cap = None
     if kind.is_m:
-        if len(pts) <= M_KIND_EXHAUSTIVE_CAP:
-            seed_size = None
-        elif g.e2() is not None:
-            seed_size = 0
-        elif len(pts) <= exact_cap:
-            seed_size = None
-        else:
-            return _undecided(kind, "universe too large for the probe engines")
-    elif len(pts) <= RESTRICTION_EXHAUSTIVE_CAP:
-        seed_size = None
-    elif len(pts) <= exact_cap:
-        seed_size, piece_cap = 5, RESTRICTION_EXHAUSTIVE_CAP
+        if len(pts) > M_KIND_EXHAUSTIVE_CAP and g.e2() is not None:
+            # The bitmask scan verifies pieces fast enough to start unseeded.
+            return _refinement_cover(kind, g, mode, [])
+        limit, note = M_KIND_EXHAUSTIVE_CAP, "universe too large for the probe engines"
     else:
-        return _undecided(kind, "restriction goodness infeasible at this size")
-    over_cap = seed_size is None and mode != "greedy" and len(pts) > exact_cap
-    if over_cap:
-        mode = "greedy"
-    cover = _refinement_cover(kind, g, session, mode, piece_cap, seed_size)
+        limit, note = RESTRICTION_EXHAUSTIVE_CAP, "restriction goodness infeasible at this size"
+    if len(pts) > max(limit, exact_cap):
+        return _undecided(kind, note)
+    # Every other universe gets every minimal bad set as its seed, so its
+    # first optimal partition verifies at once.
+    over_cap = mode != "greedy" and len(pts) > exact_cap
+    cover = _refinement_cover(kind, g, "greedy" if over_cap else mode,
+                              minimal_bad_sets(kind, session=session))
     if over_cap and cover.value is not None:
         note = f"universe above the exact-cover cap {exact_cap}; greedy used"
         cover = replace(cover, caps_hit=True, notes=cover.notes + (note,))

@@ -49,7 +49,7 @@ from dighom.maps import (
 )
 from dighom.homotopy import NO, YES, function_space_adjacent, one_step_related
 from dighom.probes import ProbeFamily, enumerate_maps, standard_m2
-from dighom.solver import _refinement_cover
+from dighom.solver import _refinement_cover, _scan_bad_sets
 
 from conftest import RING8, SQUARE
 
@@ -75,8 +75,7 @@ def distance_via_refinement(maps, family, session):
     router, as an independent code path for the cross-checks."""
     kind = distance_kind(maps, family)
     g = session.goodness(kind)
-    cover = _refinement_cover(kind, g, session, "exact",
-                              piece_cap=None, seed_size=2)
+    cover = _refinement_cover(kind, g, "exact", _scan_bad_sets(g, 2))
     return cover.value
 
 

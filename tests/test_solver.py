@@ -48,6 +48,7 @@ from dighom.solver import (
     HARVEST_CAP,
     N1_CONVENTION_NOTE,
     _refinement_cover,
+    _scan_bad_sets,
     suite_to_json,
 )
 
@@ -357,8 +358,7 @@ def test_solver_matches_cover_oracle(r8, c4, family, session):
             for piece in pieces:
                 assert subset_good(kind, piece, session=session).status is True
             g = session.goodness(kind)
-            ref = _refinement_cover(kind, g, session, "exact",
-                                    piece_cap=None, seed_size=2)
+            ref = _refinement_cover(kind, g, "exact", _scan_bad_sets(g, 2))
             assert ref.value == got.value, (img.name, i)
 
 
@@ -374,6 +374,33 @@ def test_greedy_and_capped_m_covers_are_upper_bounds(r8, family, session):
     assert capped.cover.exactness == "upper_bound"
     assert capped.cover.caps_hit
     assert "universe above the exact-cover cap 4; greedy used" in capped.cover.notes
+    plain = compute_invariant("cat", image=r8, exact_cap=4, session=session)
+    assert plain.value == 1
+    assert plain.cover.exactness == "upper_bound"
+    assert plain.cover.caps_hit
+    assert "universe above the exact-cover cap 4; greedy used" in plain.cover.notes
+
+
+def test_restriction_covers_above_ten_points_are_exact(session):
+    """On the 14-point ring the identity is homotopic to its one-step
+    rotation, so their distance is 0; cat is 1.  Both are exact and agree
+    with the cover oracle."""
+    ring = ([(x, 0) for x in range(6)] + [(5, 1)]
+            + [(x, 2) for x in range(5, -1, -1)] + [(0, 1)])
+    img = build_image(ring, CP(1), name="R14")
+    step = digital_map(img, img, {p: ring[(i + 1) % len(ring)]
+                                  for i, p in enumerate(ring)})
+    cases = (
+        (compute_invariant("D", maps=(identity_map(img), step), session=session),
+         distance_kind((identity_map(img), step)), 0),
+        (compute_invariant("cat", image=img, session=session), cat_kind(img), 1),
+    )
+    for rep, kind, value in cases:
+        assert rep.value == value
+        assert rep.cover.exactness == "exact"
+        assert rep.notes == () and rep.cover.notes == ()
+        goods = maximal_good_sets(img.points, minimal_bad_sets(kind, session=session))
+        assert min_cover(img.points, goods).value == value
 
 
 def _r8_product_kinds(r8, family):

@@ -96,14 +96,7 @@ class Explicit:
     edges: frozenset  # of (a, b) pairs normalized so a < b
 
 
-@dataclass(frozen=True)
-class Induced:
-    """Marker spec for images cut out of a parent image."""
-
-    parent: object
-
-
-Adjacency = Union[CP, NP, Explicit, Induced]
+Adjacency = Union[CP, NP, Explicit]
 
 
 def normalize_edge(a, b):
@@ -138,8 +131,6 @@ def _validate_spec(spec, dim):
             _check_point(b, dim, "edge endpoint")
             if a >= b:
                 raise ValidationError(f"explicit edge {e!r} is not normalized")
-    elif isinstance(spec, Induced):
-        _validate_spec(spec.parent, dim)
     else:
         raise ValidationError(f"unknown adjacency spec {spec!r}")
 
@@ -180,8 +171,6 @@ def _spec_neighbor_values(value, spec):
             for combo in iterproduct(*choices):
                 out.append(tuple(c for blk in combo for c in blk))
         return out
-    if isinstance(spec, Induced):
-        return _spec_neighbor_values(value, spec.parent)
     raise ValidationError(f"unknown adjacency spec {spec!r}")
 
 
@@ -209,8 +198,6 @@ def _derive_edges(points, spec):
                 raise ValidationError(f"explicit edge ({a!r}, {b!r}) leaves the point set")
             edges.add((a, b))
         return edges
-    if isinstance(spec, Induced):
-        return _derive_edges(points, spec.parent)
     for a in pts:
         for b in _spec_neighbor_values(a, spec):
             if b in pts and a < b:
@@ -493,8 +480,8 @@ def induced_subimage(img, subset, name=""):
         if p not in img:
             raise ValidationError(f"{p!r} is not a point of the ambient image")
     keep = set(sub)
-    edges = {(a, b) for a, b in img._built_edges() if a in keep and b in keep}
-    return DigitalImage(keep, Induced(img.spec), edges, name=name)
+    edges = frozenset((a, b) for a, b in img._built_edges() if a in keep and b in keep)
+    return DigitalImage(keep, Explicit(edges), edges, name=name)
 
 
 @dataclass(frozen=True)
@@ -518,28 +505,20 @@ class DigitalPath:
 # --- JSON ----------------------------------------------------------------------
 
 
-def _spec_to_json(spec, img=None):
+def _spec_to_json(spec):
     if isinstance(spec, CP):
         return {"type": "cp", "p": spec.p}
     if isinstance(spec, NP):
-        # An induced factor needs its image to list its edges.
-        parts = img.factors if img is not None and img.factors else [None] * len(spec.factors)
         return {
             "type": "np",
             "m": spec.m,
-            "factors": [_spec_to_json(f, part) for f, part in zip(spec.factors, parts)],
+            "factors": [_spec_to_json(f) for f in spec.factors],
             "dims": list(spec.dims),
         }
     if isinstance(spec, Explicit):
         return {
             "type": "explicit",
             "edges": [[list(a), list(b)] for a, b in sorted(spec.edges)],
-        }
-    if isinstance(spec, Induced):
-        # Induced adjacency serializes as the concrete edge set.
-        return {
-            "type": "explicit",
-            "edges": [[list(a), list(b)] for a, b in (img.edges if img else [])],
         }
     raise ValidationError(f"unknown adjacency spec {spec!r}")
 
@@ -601,7 +580,7 @@ def image_to_json(img):
     return {
         "name": img.name,
         "dim": img.dim,
-        "adjacency": _spec_to_json(img.spec, img),
+        "adjacency": _spec_to_json(img.spec),
         "points": [list(p) for p in img.points],
     }
 

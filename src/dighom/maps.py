@@ -17,14 +17,13 @@ from .lattice import image_from_json, image_to_json, np_product
 class DigitalMap:
     """A total function between the point sets of two images."""
 
-    __slots__ = ("domain", "codomain", "mapping", "_values", "_key")
+    __slots__ = ("domain", "codomain", "mapping", "_values")
 
     def __init__(self, domain, codomain, mapping):
         self.domain = domain
         self.codomain = codomain
         self.mapping = mapping
         self._values = None
-        self._key = None
 
     def __call__(self, p):
         try:
@@ -38,12 +37,6 @@ class DigitalMap:
         if self._values is None:
             self._values = tuple(self.mapping[p] for p in self.domain.points)
         return self._values
-
-    @property
-    def key(self):
-        if self._key is None:
-            self._key = (self.domain.key, self.codomain.key, self.values)
-        return self._key
 
     def __eq__(self, other):
         if not isinstance(other, DigitalMap):

@@ -21,10 +21,11 @@ one is "free".
 
 One solver computes every cover, by refinement: seed some bad sets,
 compute an optimal partition avoiding them (a lower bound), verify every
-piece, and harvest new bad sets from failures until the partition
-verifies.  A large two-factor product that the bitmask scan handles for
-an m-kind starts from no bad sets; every other universe gets the full
-seed, every minimal bad set, so its first partition verifies at once.
+piece, and add the images of the failing probe maps that the check
+names as new bad sets until the partition verifies.  A large two-factor
+product that the bitmask scan handles for an m-kind starts from no bad
+sets; every other universe gets the full seed, every minimal bad set, so
+its first partition verifies at once.
 
 Two maps are m-homotopic exactly when their m-homotopic distance is zero,
 that is when the whole domain is one good piece of their distance kind.
@@ -147,7 +148,12 @@ class SolverSession:
         return g
 
     def induced(self, image, points):
-        key = (image.key, frozenset(points))
+        """The subimage on points; image itself when they are all of it, so
+        a product keeps the factors that ``contractible`` splits by."""
+        pts = frozenset(points)
+        if len(pts) == len(image):
+            return image
+        key = (image.key, pts)
         img = self._induced.get(key)
         if img is None:
             img = induced_subimage(image, points)
@@ -175,13 +181,8 @@ class SolverSession:
     def m_homotopic(self, f, g, family):
         """Whether f*phi and g*phi are homotopic for every probe map phi:
         whether D_m(f, g) = 0, that is the whole domain is one good piece.
-        A point whose images lie in different components is witnessed by
-        the constant map at it from the family's first probe."""
+        A "no" carries the goodness check's witness."""
         good = self.goodness(distance_kind((f, g), family))
-        x = good.chain_violation(f.domain.points)
-        if x is not None:
-            probe = family.complexes[0]
-            return MHomotopyVerdict(NO, probe.name, constant_map(probe.image, f.domain, x))
         try:
             res = good.check(f.domain.points)
         except CapExceeded:
@@ -288,16 +289,24 @@ class _Goodness:
     def check(self, X, surjective_only=False):
         """Reference goodness decision by direct enumeration.
 
-        A piece that contracts is good.  Otherwise ``_fails`` is asked about
-        the piece's inclusion, or for m-kinds about every probe map into the
-        piece.  With ``surjective_only`` just the probe maps onto X are
-        tried, which is what minimality scans need.  An m-kind's piece that
-        fails on a probe map has the pair (probe, probe map) as its witness;
-        any other result has none.
+        A piece with a point whose images lie in different components is
+        bad, and a piece that contracts is good.  Otherwise ``_fails`` is
+        asked about the piece's inclusion, or for m-kinds about every probe
+        map into the piece.  With ``surjective_only`` just the probe maps
+        onto X are tried, which is what minimality scans need.  Every "bad"
+        of an m-kind has a (probe, probe map) witness: the failing probe
+        map, or for a component violation the constant map at the first
+        offending point from the family's first probe.  Other results have
+        none.
         """
         pts = sorted(X)
-        if self.chain_violation(pts) is not None:
-            return GoodnessResult(False)
+        x = self.chain_violation(pts)
+        if x is not None:
+            if not self.kind.is_m:
+                return GoodnessResult(False)
+            probe = self.kind.family.complexes[0]
+            phi = constant_map(probe.image, self.universe, x)
+            return GoodnessResult(False, (probe, phi))
         sub = self.session.induced(self.universe, pts)
         if self.session.h.contractible(sub):
             return GoodnessResult(True)
@@ -325,37 +334,6 @@ class _Goodness:
                 return GoodnessResult(None)
         return GoodnessResult(True)
 
-    # -- badness test used by minimality searches
-
-    def is_bad(self, X):
-        """Whether X is bad, as the minimality scans need it.
-
-        For m-kinds only the probe maps onto X are tried, so a failing map
-        into a proper subset is missed; scans by size meet that subset
-        first, because a minimal bad set is the image of a failing
-        surjective probe map.  Restriction kinds run the full test.
-        """
-        res = self.check(X, surjective_only=True)
-        if res.status is None:
-            raise CapExceeded("goodness undecided during minimality search",
-                              cap_name="max_probe_maps")
-        return res.status is False
-
-    def shrink_bad(self, Y):
-        """Greedily drop points while badness persists; by downward closure
-        the fixpoint of a restriction kind is inclusion-minimal."""
-        cur = frozenset(Y)
-        changed = True
-        while changed and len(cur) > 1:
-            changed = False
-            for p in sorted(cur):
-                smaller = cur - {p}
-                if self.is_bad(smaller):
-                    cur = smaller
-                    changed = True
-                    break
-        return cur
-
     # -- product bitmask engine
 
     def e2(self):
@@ -365,7 +343,7 @@ class _Goodness:
         return self._e2
 
     def check_piece(self, X):
-        """Goodness with the fastest applicable engine, harvesting failures."""
+        """Goodness by the fastest applicable engine, and the bad images it names."""
         e2 = self.e2()
         if e2 is not None:
             images = e2.scan(frozenset(X))
@@ -615,7 +593,10 @@ def _scan_bad_sets(g, max_size):
     """Inclusion-minimal bad sets of at most max_size points, smallest first.
 
     Candidates are the connected subsets, plus cross-component pairs for
-    the contraction kinds.
+    the contraction kinds.  For m-kinds only the probe maps onto a
+    candidate are tried: a failing map into a proper subset is missed, but
+    that subset was scanned first, because a minimal bad set is the image
+    of a failing surjective probe map.  Restriction kinds run the full test.
     """
     kind = g.kind
     uni = g.universe
@@ -633,7 +614,13 @@ def _scan_bad_sets(g, max_size):
     for size in sorted(by_size):
         for cand in sorted(by_size[size]):
             cs = frozenset(cand)
-            if not any(b <= cs for b in found) and g.is_bad(cs):
+            if any(b <= cs for b in found):
+                continue
+            res = g.check(cs, surjective_only=True)
+            if res.status is None:
+                raise CapExceeded("goodness undecided during minimality search",
+                                  cap_name="max_probe_maps")
+            if res.status is False:
                 found.append(cs)
     return found
 
@@ -845,8 +832,11 @@ def _undecided(kind, note):
 def _refinement_cover(kind, g, mode, bads):
     """Lazy-exact cover: partition against known bad sets, verify, harvest.
 
-    bads is the seed list; each failing piece extends it with the bad
-    sets it yields.
+    bads is the seed list; each failing piece extends it with the images
+    that ``check_piece`` reports for it, the witnesses of the goodness
+    check or of the product engine.  A plain kind's failing piece has no
+    witness, so plain kinds need the full seed: with any less, a failing
+    piece stalls the refinement and the cover is undecided.
     """
     pts = list(kind.universe_image.points)
     known = set(bads)
@@ -865,7 +855,7 @@ def _refinement_cover(kind, g, mode, bads):
             if res.status is None:
                 return _undecided(kind, "piece goodness undecided under caps")
             if res.status is False:
-                failures.append((piece, images))
+                failures.append(images)
         if not failures:
             # The one exactness rule.  A greedy or capped partition is an
             # upper bound; an optimal one is exact, or a family lower bound
@@ -880,14 +870,11 @@ def _refinement_cover(kind, g, mode, bads):
             return CoverResult(len(pieces) - 1, tuple(pieces), wits, exactness,
                                capped_any, notes)
         new = 0
-        for piece, images in failures:
-            if not images:
-                images = [frozenset(piece)]
+        for images in failures:
             for img_set in images:
-                core = img_set if kind.is_m else g.shrink_bad(img_set)
-                if core not in known:
-                    known.add(core)
-                    bads.append(core)
+                if img_set not in known:
+                    known.add(img_set)
+                    bads.append(img_set)
                     new += 1
         if new == 0:
             return _undecided(kind, "refinement stalled without new bad sets")

@@ -31,6 +31,7 @@ from dighom import (
     verify_inequality_suite,
     verify_report,
 )
+from dighom import homotopy
 from dighom.errors import CapExceeded, ValidationError
 from dighom.lattice import CP, build_image, interval_image, np_product
 from dighom.maps import (
@@ -357,9 +358,22 @@ def test_solver_matches_cover_oracle(r8, c4, family, session):
             assert frozenset().union(*pieces) == frozenset(uni)
             for piece in pieces:
                 assert subset_good(kind, piece, session=session).status is True
-            g = session.goodness(kind)
-            ref = _refinement_cover(kind, g, "exact", _scan_bad_sets(g, 2))
-            assert ref.value == got.value, (img.name, i)
+            if kind.is_m:
+                # Only an m-kind's failing piece names its bad sets, so only
+                # m-kinds refine from a partial seed.
+                g = session.goodness(kind)
+                ref = _refinement_cover(kind, g, "exact", _scan_bad_sets(g, 2))
+                assert ref.value == got.value, (img.name, i)
+
+
+def test_plain_refinement_from_a_partial_seed_stalls(r8, session):
+    """No 2-point set is bad for cat(R8), and the failing piece R8 names no
+    bad set, so the refinement has nothing to learn from."""
+    kind = cat_kind(r8)
+    g = session.goodness(kind)
+    cover = _refinement_cover(kind, g, "exact", _scan_bad_sets(g, 2))
+    assert cover.value is None
+    assert cover.notes == ("refinement stalled without new bad sets",)
 
 
 def test_greedy_and_capped_m_covers_are_upper_bounds(r8, family, session):
@@ -593,6 +607,20 @@ def test_distance_zero_iff_m_homotopic_on_random_pairs(pair, family, session):
             assert are_homotopic(compose(f, phi), compose(g, phi)).decided == "no"
 
 
+def test_component_violation_witness_names_the_bad_point(family, session):
+    """The goodness check names a piece's component violation as the
+    constant probe map at the offending point, and that point is the bad set
+    a refinement learns."""
+    ident = identity_map(_SPLIT)
+    const = constant_map(_SPLIT, _SPLIT, (0,))
+    kind = distance_kind((ident, const), family)
+    res, images = session.goodness(kind).check_piece({(0,), (5,)})
+    assert res.status is False
+    assert res.witness[0].name == "point"
+    assert res.witness[1] == constant_map(family.complexes[0].image, _SPLIT, (5,))
+    assert images == [frozenset({(5,)})]
+
+
 def test_m_homotopy_component_mismatch_and_capped_probe(r8, family, session):
     ident = identity_map(_SPLIT)
     const = constant_map(_SPLIT, _SPLIT, (0,))
@@ -753,6 +781,25 @@ def test_verify_report_undecided_passthrough(r8, session):
     rep = compute_invariant("TC", image=r8, session=session)
     status, msgs = verify_report(report_to_json(rep))
     assert status == "undecided"
+
+
+def test_verify_report_splits_a_whole_product_piece_by_factors(c4, monkeypatch):
+    """TC(C4) has the one piece C4 x C4.  Checking it asks whether the
+    product contracts, which its factors answer, with no frame BFS over
+    the 16-point torus."""
+    rep = report_to_json(compute_invariant("TC", image=c4))
+    assert rep["pieces"] == [[list(p) for p in np_product([c4, c4], 2).points]]
+    states = []
+    bfs = homotopy._frame_bfs
+
+    def counting_bfs(*args):
+        got = bfs(*args)
+        states.append(len(got[1]))
+        return got
+
+    monkeypatch.setattr(homotopy, "_frame_bfs", counting_bfs)
+    assert verify_report(rep)[0] == "ok"
+    assert sum(states) < 1000
 
 
 def test_report_byte_determinism(r8, family):

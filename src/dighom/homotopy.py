@@ -17,7 +17,9 @@ lookup, which is what makes the invariant solver practical.  A space with
 more maps than the visited-maps cap is not partitioned; the session then
 closes only the component of each queried map, by frame BFS, and remembers
 every map a capped closure touched, so no map of that component is
-searched again.  Everything else goes through one directed search.
+searched again.  Everything else goes through one directed search, whose
+every answer the session keeps: it depends on the two maps and the caps
+alone, so a question asked again is answered as a fresh session would.
 
 A homotopy restricts to any induced subimage S of its domain: each frame
 stays continuous on S and consecutive frames stay pointwise adjacent or
@@ -441,13 +443,18 @@ class HomotopySession:
     shortest cycle through an edge, of at most ``FLAT_CLASS_LIMIT`` points,
     where a class that closes without the other restriction proves no; a
     single-point-move A* that can only prove yes; a frame BFS within caps.
-    Its chain of states is the certificate.
+    Its chain of states is the certificate.  Every answer of ``_reach``,
+    chain, no or capped, is kept and returned again for the same maps.
+    That is exact: the class roots and capped sets the restriction reads
+    do not depend on which queries came first, and both searches start
+    from f alone, so a kept answer is the one a fresh session would give.
 
     ``homotopic`` and ``nullhomotopic`` are both answered by ``_decide``:
     it splits full-product codomains into their factors, accepts at once
     when the codomain contracts, and otherwise reads the class table or
-    asks ``_reach``.  ``contractible`` asks ``_reach`` whether the identity
-    reaches a constant, classifying no map space.  ``homotopy_inverse``
+    asks ``_reach``.  Both check that their maps are continuous first.
+    ``contractible`` asks ``_reach`` whether the identity reaches a
+    constant, classifying no map space.  ``homotopy_inverse``
     runs many queries on the one session, so each map space is classified
     once per harness.
 
@@ -462,7 +469,7 @@ class HomotopySession:
         self._spaces = {}
         self._capped = {}
         self._cycles = {}
-        self._contract = {}
+        self._chains = {}
         self._dist = {}
 
     # -- plumbing
@@ -678,20 +685,16 @@ class HomotopySession:
     def contractible(self, img):
         """Whether the identity of img is nullhomotopic; None when capped.
         A full normal product contracts exactly when every factor does; any
-        other image costs one ``_reach``, not a classified map space."""
-        if img.key in self._contract:
-            return self._contract[img.key]
+        other image costs one ``_reach``, not a classified map space, and
+        only the first time, since ``_reach`` keeps its answers."""
         if img.is_np_full and len(img.factors) > 1:
-            result = True
             for factor in img.factors:
                 result = self.contractible(factor)
                 if not result:
-                    break
-        else:
-            chain = self._reach(identity_map(img), None)
-            result = None if chain is None else bool(chain)
-        self._contract[img.key] = result
-        return result
+                    return result
+            return True
+        chain = self._reach(identity_map(img), None)
+        return None if chain is None else bool(chain)
 
     # -- the one directed search
 
@@ -735,24 +738,34 @@ class HomotopySession:
 
     def _reach(self, f, g):
         """The value tuples of a frame path from f to g, or with g None to
-        some constant map; [] when there is none, None when capped.  In
-        order: the component check, the small-cycle restriction for domains
-        over ``FLAT_CLASS_LIMIT``, A* over single-point moves, frame BFS.
-        A discontinuous f raises ValidationError before any search."""
-        if _component_mismatch(f, g) is not None:
-            return []
-        if len(f.domain) > FLAT_CLASS_LIMIT and self._restriction_says_no(f, g):
-            return []
-        _require_continuous(f)
-        targets = {g.values} if g is not None else _constant_targets(f)
-        mg = self._graph(f.domain, f.codomain)
-        hit, parents, _, _ = self._astar_single_point(
-            mg, f.values, targets, self._astar_budget())
-        if hit is None:
-            hit, parents, _, capped = _frame_bfs(mg, f.values, targets, self.caps)
+        some constant map, as a tuple; () when there is none, None when
+        capped.  In order: the component check, the small-cycle restriction
+        for domains over ``FLAT_CLASS_LIMIT``, A* over single-point moves,
+        frame BFS.  Callers pass continuous maps.
+
+        Every answer, cap outcomes included, is kept, so a question asked
+        again costs one lookup.  It is exact because the answer depends on
+        f, g and the caps alone, as the class docstring explains."""
+        key = (f.domain.key, f.codomain.key, f.values,
+               None if g is None else g.values)
+        if key in self._chains:
+            return self._chains[key]
+        if _component_mismatch(f, g) is not None or (
+                len(f.domain) > FLAT_CLASS_LIMIT and self._restriction_says_no(f, g)):
+            chain = ()
+        else:
+            targets = {g.values} if g is not None else _constant_targets(f)
+            mg = self._graph(f.domain, f.codomain)
+            hit, parents, _, _ = self._astar_single_point(
+                mg, f.values, targets, self._astar_budget())
             if hit is None:
-                return None if capped else []
-        return _chain_to(parents, hit)
+                hit, parents, _, capped = _frame_bfs(mg, f.values, targets, self.caps)
+            if hit is not None:
+                chain = tuple(_chain_to(parents, hit))
+            else:
+                chain = None if capped else ()
+        self._chains[key] = chain
+        return chain
 
     # -- the one decision routine
 
@@ -791,12 +804,12 @@ class HomotopySession:
 
     def homotopic(self, f, g):
         """True, False, or None when caps prevented a decision."""
-        if f.domain != g.domain or f.codomain != g.codomain:
-            raise ValidationError("maps must share domain and codomain")
+        _validate_parallel(f, g)
         return self._decide(f, g)
 
     def nullhomotopic(self, f):
         """Whether f is homotopic to a constant map; None when capped."""
+        _require_continuous(f)
         return self._decide(f, None)
 
     def certificate_between(self, f, g):

@@ -502,6 +502,25 @@ def test_session_refuses_discontinuous_maps(r8):
         are_homotopic(f, g)
     with pytest.raises(ValidationError):
         is_nullhomotopic(h)
+    # [0, 3] into itself with 1 sent to 3: equal maps, and a contractible
+    # codomain, must not let the session answer before it checks.  A
+    # continuous winding map paired with a discontinuous one is refused too.
+    i3_jump = DigitalMap(i3, i3, {(0,): (0,), (1,): (3,), (2,): (0,), (3,): (0,)})
+    forward = _ring_map(racket, r8, lambda i: i)
+    for caps in (DEFAULT_CAPS, SearchCaps(max_visited_maps=100)):
+        session = HomotopySession(caps)
+        for ask in (lambda: session.homotopic(i3_jump, i3_jump),
+                    lambda: session.nullhomotopic(i3_jump),
+                    lambda: session.homotopic(forward, g),
+                    lambda: session.certificate_between(i3_jump, i3_jump),
+                    lambda: session.certificate_between(forward, g)):
+            with pytest.raises(ValidationError):
+                ask()
+    for ask in (lambda: are_homotopic(i3_jump, i3_jump),
+                lambda: is_nullhomotopic(i3_jump),
+                lambda: are_homotopic(forward, g)):
+        with pytest.raises(ValidationError):
+            ask()
 
 
 def test_session_certificate_between_null_maps(r8, reference_search_forbidden):
@@ -564,3 +583,151 @@ def test_session_contractible_under_tiny_cap(r8, i4, reference_search_forbidden)
     # search gives up.
     assert HomotopySession(tiny).contractible(i4) is True
     assert _reference_contractible(reference_search_forbidden, i4, tiny) is None
+
+
+def _counting(searches, name, real):
+    def counted(*args):
+        searches.append(name)
+        return real(*args)
+    return counted
+
+
+def test_session_repeated_queries_run_no_search(r8, monkeypatch):
+    # Twelve points are too many to classify, so every answer below comes
+    # from a directed search the first time and from a kept one after.
+    racket = _racket()
+    forward = _ring_map(racket, r8, lambda i: i)
+    turned = _ring_map(racket, r8, lambda i: i + 3)
+    backward = _ring_map(racket, r8, lambda i: -i)
+    folded = _ring_map(racket, r8, lambda i: min(i, 8 - i))
+    scattered = random_continuous_map(racket, r8, random.Random(7))
+    session = HomotopySession(SearchCaps(max_visited_maps=1000))
+
+    def ask():
+        return [session.homotopic(forward, turned), session.homotopic(forward, backward),
+                session.homotopic(folded, scattered), session.nullhomotopic(folded),
+                session.nullhomotopic(forward), session.certificate_between(forward, turned),
+                session.certificate_between(scattered, folded),
+                session.certificate_between(forward, folded)]
+
+    searches = []
+    monkeypatch.setattr(homotopy, "_frame_bfs",
+                        _counting(searches, "bfs", homotopy._frame_bfs))
+    monkeypatch.setattr(HomotopySession, "_astar_single_point",
+                        _counting(searches, "astar", HomotopySession._astar_single_point))
+    first = ask()
+    assert first[:5] == [True, False, True, True, False]
+    assert first[5] is not None and first[6] is not None and first[7] is None
+    assert "astar" in searches and "bfs" in searches
+
+    def refuse(*args):
+        raise AssertionError("a repeated query searched again")
+
+    monkeypatch.setattr(homotopy, "_frame_bfs", refuse)
+    monkeypatch.setattr(HomotopySession, "_astar_single_point", refuse)
+    assert ask() == first
+
+
+def test_session_contractible_searches_once(r8, monkeypatch):
+    searches = []
+    monkeypatch.setattr(homotopy, "_frame_bfs",
+                        _counting(searches, "bfs", homotopy._frame_bfs))
+    monkeypatch.setattr(HomotopySession, "_astar_single_point",
+                        _counting(searches, "astar", HomotopySession._astar_single_point))
+    arc = induced_subimage(r8, RING8[:5])
+    # A cap of one map leaves R8 undecided, and that outcome is kept too.
+    for caps, img, expected in ((DEFAULT_CAPS, arc, True), (DEFAULT_CAPS, r8, False),
+                                (SearchCaps(max_visited_maps=1), r8, None)):
+        session = HomotopySession(caps)
+        searches.clear()
+        assert session.contractible(img) is expected
+        assert searches
+        ran = list(searches)
+        assert session.contractible(img) is expected
+        assert searches == ran
+    # A full product splits by its factors and reads their kept answers.
+    session = HomotopySession(DEFAULT_CAPS)
+    assert session.contractible(arc) is True and session.contractible(r8) is False
+    searches.clear()
+    assert session.contractible(np_product([arc, r8], 2)) is False
+    assert searches == []
+
+
+def _winding(f):
+    """Winding number around R8 of f on the ring R8 inside its domain;
+    continuity makes each step -1, 0 or +1."""
+    pos = {p: i for i, p in enumerate(RING8)}
+    steps = {0: 0, 1: 1, 7: -1}
+    return sum(steps[(pos[f.mapping[b]] - pos[f.mapping[a]]) % 8]
+               for a, b in zip(RING8, RING8[1:] + RING8[:1])) // 8
+
+
+@st.composite
+def _query_streams(draw):
+    """Queries on two or three maps into R8 from one domain: the 9- or
+    10-point racket or R8.  The maps come from a small pool, eight random
+    seeds and the windings each way, so queries share endpoints and repeat,
+    within an example and across examples."""
+    dom = draw(st.sampled_from((_racket(1), _racket(2), _R8)))
+
+    def one_map():
+        if draw(st.booleans()):
+            shift, sign = draw(st.integers(0, 7)), draw(st.sampled_from((1, -1)))
+            return _ring_map(dom, _R8, lambda i: shift + sign * i)
+        return random_continuous_map(dom, _R8, random.Random(draw(st.integers(0, 7))))
+
+    pool = [one_map() for _ in range(draw(st.integers(2, 3)))]
+    query = st.tuples(st.sampled_from(("null", "homotopic", "certificate")),
+                      st.sampled_from(pool), st.sampled_from(pool))
+    queries = draw(st.lists(query, min_size=1, max_size=5))
+    # Each question again with its maps swapped: a search back along an
+    # earlier chain is where answers built from kept chains would show.
+    return queries + [(op, g, f) for op, f, g in queries]
+
+
+def _ask(session, op, f, g):
+    if op == "null":
+        return session.nullhomotopic(f)
+    if op == "homotopic":
+        return session.homotopic(f, g)
+    return session.certificate_between(f, g)
+
+
+def _fresh_session(shared):
+    """A session with no kept answers, under the shared session's caps.  At
+    the default cap every map space queried here is partitioned, and a
+    partition does not depend on earlier queries, so the fresh session
+    borrows the partitions; building them again costs seconds per query."""
+    fresh = HomotopySession(shared.caps)
+    if shared.caps == DEFAULT_CAPS:
+        fresh._partitioned = set(shared._partitioned)
+        fresh._roots = {key: shared._roots[key] for key in shared._partitioned}
+        fresh._spaces = dict(shared._spaces)
+    return fresh
+
+
+@pytest.fixture(scope="module")
+def memo_sessions():
+    # Under 1 000 visited maps each of these map spaces is closed component
+    # by component, and null components cap; under the default they are
+    # partitioned.
+    return [HomotopySession(SearchCaps(max_visited_maps=1000)),
+            HomotopySession(DEFAULT_CAPS)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(queries=_query_streams(), which=st.sampled_from((0, 1)))
+def test_shared_session_answers_as_a_fresh_one(memo_sessions, queries, which):
+    shared = memo_sessions[which]
+    for op, f, g in queries:
+        g = None if op == "null" else g
+        got = _ask(shared, op, f, g)
+        assert got == _ask(_fresh_session(shared), op, f, g)
+        if op == "certificate":
+            if got is None:
+                continue
+            check = verify_certificate(got, f, g)
+            assert check.ok, check.reason
+            got = True
+        if got is not None:
+            assert got is (_winding(f) == (0 if g is None else _winding(g)))

@@ -21,11 +21,20 @@ searched again.  Everything else goes through one directed search, whose
 every answer the session keeps: it depends on the two maps and the caps
 alone, so a question asked again is answered as a fresh session would.
 
-A homotopy restricts to any induced subimage S of its domain: each frame
-stays continuous on S and consecutive frames stay pointwise adjacent or
-equal there.  So for a larger domain a "no" can come from the restriction
-to an induced cycle of at most ``FLAT_CLASS_LIMIT`` points, whose map space
-the session classifies; a "yes" still needs a chain of frames.
+Maps into a ring of m >= 5 points, a connected image whose every point
+has two neighbours, need no search.  Two of them are homotopic exactly
+when they have the same degree around every cycle of the domain, and
+then a chain of frames follows from their lifts to the integers.  So the
+session classifies such a map space by degree and answers every directed
+question on it with a "clamp chain" or a definite no.  On 4 points the
+rule is false, since C4 contracts, so C4 keeps the search engines.
+
+For other codomains, a homotopy restricts to any induced subimage S of
+its domain: each frame stays continuous on S and consecutive frames stay
+pointwise adjacent or equal there.  So for a larger domain a "no" can
+come from the restriction to an induced cycle of at most
+``FLAT_CLASS_LIMIT`` points, whose map space the session classifies; a
+"yes" still needs a chain of frames.
 
 Only plain homotopy is decided here.  Homotopy through every probe map
 is m-homotopic distance zero, which the solver decides.
@@ -236,6 +245,105 @@ class _MapGraph:
                     yield values[:i] + (w,) + values[i + 1 :]
 
 
+class _Ring:
+    """Degrees and clamp chains of the maps from one domain into a ring of
+    m >= 5 points, a connected image whose every point has two neighbours.
+
+    A map lifts to the integers along a BFS spanning forest of the domain:
+    each root to its ring index, each child to its parent's lift plus the
+    step, -1, 0 or +1, between their images.  A chord, an edge outside the
+    forest, closes one cycle of the domain, and the map's degree around it
+    is the multiple of m that the lift gains across the chord.  Two maps
+    are homotopic exactly when their degrees agree on every chord.
+
+    A frame moves each point at most one step, so a frame's lift can be
+    taken within 1 of the last one; its steps along an edge then differ
+    from the last frame's by at most 3.  Modulo m >= 5 that fixes them, so
+    a frame keeps every degree.  On 4 points it does not, and C4 contracts.
+    Conversely, when f and g have equal degrees, the lift difference
+    d = g~ - f~ is a function on the domain, and the frames
+    f~ + clamp(d, -t, t) for t = 0 .. max|d| are medians of the three
+    1-Lipschitz functions f~ - t, g~, f~ + t on every edge, so each is
+    continuous and each moves every point at most one step: a certificate
+    built without search.
+    """
+
+    def __init__(self, domain, order):
+        self.order = order
+        self.index = {x: i for i, x in enumerate(order)}
+        pos = {p: i for i, p in enumerate(domain.points)}
+        # (point, parent) domain positions, every parent before its
+        # children; a root's parent is None.
+        self.forest = []
+        parent = {}
+        for root in domain.points:
+            if root in parent:
+                continue
+            parent[root] = None
+            queue = deque([root])
+            while queue:
+                cur = queue.popleft()
+                up = parent[cur]
+                self.forest.append((pos[cur], None if up is None else pos[up]))
+                for nb in domain.neighbors(cur):
+                    if nb not in parent:
+                        parent[nb] = cur
+                        queue.append(nb)
+        self.chords = [(pos[a], pos[b]) for a, b in domain.edges
+                       if parent[a] != b and parent[b] != a]
+
+    @classmethod
+    def build(cls, domain, codomain):
+        """The table for maps from domain into codomain, or None unless the
+        codomain is a ring of at least 5 points."""
+        pts = codomain.points
+        if len(pts) < 5 or not codomain.is_connected() or any(
+                len(codomain.neighbors(x)) != 2 for x in pts):
+            return None
+        order = [pts[0], codomain.neighbors(pts[0])[0]]
+        while len(order) < len(pts):
+            a, b = order[-2:]
+            order.append(next(x for x in codomain.neighbors(b) if x != a))
+        return cls(domain, tuple(order))
+
+    def lift(self, values, near=None):
+        """The lift of the map with these values, in domain order.  Each
+        root lifts to its ring index, or given ``near``, another lift, to
+        the lift of its value nearest to near's at that root."""
+        m = len(self.order)
+        half = m // 2
+        idx = [self.index[v] for v in values]
+        out = [0] * len(idx)
+        for i, up in self.forest:
+            if up is not None:
+                base = out[up]
+            elif near is None:
+                out[i] = idx[i]
+                continue
+            else:
+                base = near[i]
+            out[i] = base + (idx[i] - base + half) % m - half
+        return out
+
+    def degrees(self, lift):
+        """The degree around each chord's cycle, the multiple of m by which
+        the lift jumps across the chord; the map's homotopy class."""
+        m = len(self.order)
+        return tuple((lift[v] - lift[u] + m // 2) // m for u, v in self.chords)
+
+    def chain(self, f, g):
+        """The clamp chain of value tuples from f to g, or () when their
+        degrees differ."""
+        a = self.lift(f)
+        b = self.lift(g, near=a)
+        if self.degrees(a) != self.degrees(b):
+            return ()
+        order, m = self.order, len(self.order)
+        d = [y - x for x, y in zip(a, b)]
+        return tuple(tuple(order[(x + max(-t, min(t, e))) % m] for x, e in zip(a, d))
+                     for t in range(max(map(abs, d)) + 1))
+
+
 def _map_from_values(domain, codomain, values):
     return DigitalMap(domain, codomain, dict(zip(domain.points, values)))
 
@@ -426,28 +534,33 @@ class HomotopySession:
 
     For domains of up to ``FLAT_CLASS_LIMIT`` points the first query about
     a (domain, codomain) pair partitions that whole map space into its
-    homotopy classes: union-find over single-point moves, then over frame
+    homotopy classes: by degree into a ring of at least 5 points, and
+    otherwise by union-find over single-point moves, then over frame
     moves from the maps outside the largest class.  Later queries compare
-    canonical roots.  The session keeps every whole map space it
-    enumerates (``map_space``), so the class table and the product engine's
-    coordinate maps read one enumeration.  When the map space has more
-    maps than the visited-maps cap, only the queried component is closed,
-    by frame BFS.
-    A closure that hits the cap has touched more maps of one component than
-    the cap allows, and a closure from any of them would too, so every map
-    it touched is remembered and later answers None without a search.
+    canonical roots, the least map of each class either way.  The session
+    keeps every whole map space it enumerates (``map_space``), so the class
+    table and the product engine's coordinate maps read one enumeration.
+    When the map space has more maps than the visited-maps cap, only the
+    queried component is closed, by frame BFS.  A closure that hits the
+    cap has touched more maps of one component than the cap allows, and a
+    closure from any of them would too, so every map it touched is
+    remembered and later answers None without a search.
 
     Every other question goes to ``_reach``, the one directed search from
-    f to g, or with g None to any constant map: a component check; for
-    larger domains the restriction to each induced subimage on the
-    shortest cycle through an edge, of at most ``FLAT_CLASS_LIMIT`` points,
-    where a class that closes without the other restriction proves no; a
-    single-point-move A* that can only prove yes; a frame BFS within caps.
-    Its chain of states is the certificate.  Every answer of ``_reach``,
-    chain, no or capped, is kept and returned again for the same maps.
-    That is exact: the class roots and capped sets the restriction reads
-    do not depend on which queries came first, and both searches start
-    from f alone, so a kept answer is the one a fresh session would give.
+    f to g, or with g None to any constant map.  Into a ring of at least 5
+    points it searches nothing: unequal degrees say no, equal ones give a
+    clamp chain (``_Ring``), under any caps.  Into any other codomain it
+    runs a component check; for larger domains the restriction to each
+    induced subimage on the shortest cycle through an edge, of at most
+    ``FLAT_CLASS_LIMIT`` points, where a class that closes without the
+    other restriction proves no; a single-point-move A* that can only
+    prove yes; a frame BFS within caps.  Its chain of states is the
+    certificate.  Every answer of ``_reach``, chain, no or capped, is kept
+    and returned again for the same maps.  That is exact: degrees depend
+    on the maps alone, the class roots and capped sets the restriction
+    reads do not depend on which queries came first, and both searches
+    start from f alone, so a kept answer is the one a fresh session would
+    give.
 
     ``homotopic`` and ``nullhomotopic`` are both answered by ``_decide``:
     it splits full-product codomains into their factors, accepts at once
@@ -471,6 +584,7 @@ class HomotopySession:
         self._cycles = {}
         self._chains = {}
         self._dist = {}
+        self._rings = {}
 
     # -- plumbing
 
@@ -481,6 +595,14 @@ class HomotopySession:
             mg = _MapGraph(domain, codomain)
             self._graphs[key] = mg
         return mg
+
+    def _ring(self, domain, codomain):
+        """The ring table of maps from domain into codomain, or None when
+        the codomain is not a ring of at least 5 points; built once."""
+        key = (domain.key, codomain.key)
+        if key not in self._rings:
+            self._rings[key] = _Ring.build(domain, codomain)
+        return self._rings[key]
 
     def _distances(self, codomain):
         tab = self._dist.get(codomain.key)
@@ -511,7 +633,7 @@ class HomotopySession:
         if got is not None:
             return got
         if key not in self._partitioned and key not in self._capped:
-            self._partition(key, self._graph(domain, codomain))
+            self._partition(domain, codomain)
             got = roots.get(values)
             if got is not None:
                 return got
@@ -534,25 +656,40 @@ class HomotopySession:
             roots.setdefault(state, root)
         return root
 
-    def _partition(self, key, mg):
+    def _partition(self, domain, codomain):
         """Split the whole map space into homotopy classes, filling its roots.
 
-        Single-point moves are frame moves, so union-find over them gives
-        classes no coarser than the true ones.  Frame moves are then
-        followed only from maps not yet in the largest class.  The frame
-        relation is symmetric, so an edge skipped at both of its ends joins
-        two maps already in the largest class and would merge nothing.
         The space is read through ``map_space``, so it stays kept, in lex
         order, for the product engine to take its coordinate maps from.
         A space with more maps than the visited-maps cap is marked capped
         instead, with no roots filled in.
+
+        Into a ring of at least 5 points, maps are grouped by their degrees
+        (``_Ring``), and the first map of each group in lex order, the
+        least of its class, is its root.  Into any other codomain the
+        classes come from union-find.  Single-point moves are frame moves,
+        so union-find over them gives classes no coarser than the true
+        ones.  Frame moves are then followed only from maps not yet in the
+        largest class.  The frame relation is symmetric, so an edge skipped
+        at both of its ends joins two maps already in the largest class and
+        would merge nothing.
         """
+        key = (domain.key, codomain.key)
         budget = self.caps.max_visited_maps
         try:
-            space = self.map_space(mg.domain, mg.codomain, budget)
+            space = self.map_space(domain, codomain, budget)
         except CapExceeded:
             self._capped[key] = set()
             return
+        roots = self._roots[key]
+        self._partitioned.add(key)
+        ring = self._ring(domain, codomain)
+        if ring is not None:
+            first = {}
+            for v in space:
+                roots[v] = first.setdefault(ring.degrees(ring.lift(v)), v)
+            return
+        mg = self._graph(domain, codomain)
         index = {v: i for i, v in enumerate(space)}
         up = list(range(len(space)))
 
@@ -581,10 +718,8 @@ class HomotopySession:
             if find(i) != find(largest):
                 for w in mg.frame_neighbors(v, counter, budget, known=index):
                     union(i, index[w])
-        roots = self._roots[key]
         for i, v in enumerate(space):
             roots[v] = space[find(i)]
-        self._partitioned.add(key)
 
     def map_space(self, domain, codomain, cap):
         """Every continuous map from domain to codomain, as lex-ordered value
@@ -739,9 +874,14 @@ class HomotopySession:
     def _reach(self, f, g):
         """The value tuples of a frame path from f to g, or with g None to
         some constant map, as a tuple; () when there is none, None when
-        capped.  In order: the component check, the small-cycle restriction
-        for domains over ``FLAT_CLASS_LIMIT``, A* over single-point moves,
-        frame BFS.  Callers pass continuous maps.
+        capped.  Callers pass continuous maps.
+
+        Into a ring of at least 5 points the degrees decide, without search
+        and whatever the caps: unequal degrees give (), equal ones the clamp
+        chain of ``_Ring``, with g None to the constant at f's first value.
+        Into any other codomain, in order: the component check, the
+        small-cycle restriction for domains over ``FLAT_CLASS_LIMIT``, A*
+        over single-point moves, frame BFS.
 
         Every answer, cap outcomes included, is kept, so a question asked
         again costs one lookup.  It is exact because the answer depends on
@@ -750,7 +890,11 @@ class HomotopySession:
                None if g is None else g.values)
         if key in self._chains:
             return self._chains[key]
-        if _component_mismatch(f, g) is not None or (
+        ring = self._ring(f.domain, f.codomain)
+        if ring is not None:
+            end = (f.values[0],) * len(f.values) if g is None else g.values
+            chain = ring.chain(f.values, end)
+        elif _component_mismatch(f, g) is not None or (
                 len(f.domain) > FLAT_CLASS_LIMIT and self._restriction_says_no(f, g)):
             chain = ()
         else:
@@ -833,14 +977,16 @@ class HomotopySession:
         Candidates are enumerated in lexicographic order of their value
         tuples, so the returned witness is the lexicographically first one.
         Raises CapExceeded when enumeration or any homotopy query hits its
-        cap.
+        cap.  f is checked once; the composites of continuous maps are
+        continuous, so they go to ``_decide`` unchecked.
         """
+        _require_continuous(f)
         id_dom = identity_map(f.domain)
         id_cod = identity_map(f.codomain)
         for g in enumerate_continuous_maps(f.codomain, f.domain,
                                            cap=self.caps.max_probe_maps):
-            left = self.homotopic(compose(g, f), id_dom)
-            right = left and self.homotopic(compose(f, g), id_cod)
+            left = self._decide(compose(g, f), id_dom)
+            right = left and self._decide(compose(f, g), id_cod)
             if left is None or right is None:
                 raise CapExceeded("homotopy query capped during inverse search",
                                   cap_name="max_visited_maps")

@@ -271,17 +271,18 @@ class _Goodness:
         """Whether the map sending domain's points to ``values`` in the
         universe breaks the kind: two consecutive composites are not
         homotopic, or the one composite is not nullhomotopic.  None when
-        capped."""
+        capped.  The composites of continuous maps are continuous, so they
+        go to the session's ``_decide`` without its entry checks."""
         sess = self.session.h
         comps = [DigitalMap(domain, h.codomain,
                             {p: h.mapping[v] for p, v in zip(domain.points, values)})
                  for h in self.kind.maps]
         if len(comps) == 1:
-            verdict = sess.nullhomotopic(comps[0])
+            verdict = sess._decide(comps[0], None)
         else:
             verdict = True
             for f, g in zip(comps, comps[1:]):
-                verdict = sess.homotopic(f, g)
+                verdict = sess._decide(f, g)
                 if not verdict:
                     break
         return None if verdict is None else not verdict

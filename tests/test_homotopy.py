@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from dighom import (
     DEFAULT_CAPS,
@@ -24,12 +24,21 @@ from dighom.homotopy import (
     NO,
     YES,
     HomotopyCertificate,
+    _map_from_values,
     certificate_from_json,
     certificate_to_json,
     function_space_adjacent,
     one_step_related,
 )
-from dighom.lattice import CP, build_image, induced_subimage, interval_image, np_product
+from dighom.lattice import (
+    CP,
+    Explicit,
+    build_image,
+    induced_subimage,
+    interval_image,
+    normalize_edge,
+    np_product,
+)
 from dighom.maps import (
     DigitalMap,
     compose,
@@ -572,11 +581,15 @@ def test_session_contractible_matches_reference(img, reference_search_forbidden)
     assert got is _reference_contractible(reference_search_forbidden, img, DEFAULT_CAPS)
 
 
-def test_session_contractible_under_tiny_cap(r8, i4, reference_search_forbidden):
-    # R8's identity admits no single-point move, so A* stops at once and the
+def test_session_contractible_under_tiny_cap(r8, c4, i4, reference_search_forbidden):
+    # C4's identity admits no single-point move, so A* stops at once and the
     # frame BFS overruns a cap of one map, as the reference search does.
     tiny = SearchCaps(max_visited_maps=1)
-    assert HomotopySession(tiny).contractible(r8) is None
+    assert HomotopySession(tiny).contractible(c4) is None
+    assert _reference_contractible(reference_search_forbidden, c4, tiny) is None
+    # R8 is a ring of 8 points, so its identity's degree decides, whatever
+    # the cap, where the reference search gives up.
+    assert HomotopySession(tiny).contractible(r8) is False
     assert _reference_contractible(reference_search_forbidden, r8, tiny) is None
     # A* searches at least 1 000 maps whatever the cap, and the interval
     # folds up point by point, so that proof stands where the reference
@@ -592,52 +605,82 @@ def _counting(searches, name, real):
     return counted
 
 
-def test_session_repeated_queries_run_no_search(r8, monkeypatch):
-    # Twelve points are too many to classify, so every answer below comes
-    # from a directed search the first time and from a kept one after.
-    racket = _racket()
-    forward = _ring_map(racket, r8, lambda i: i)
-    turned = _ring_map(racket, r8, lambda i: i + 3)
-    backward = _ring_map(racket, r8, lambda i: -i)
-    folded = _ring_map(racket, r8, lambda i: min(i, 8 - i))
-    scattered = random_continuous_map(racket, r8, random.Random(7))
-    session = HomotopySession(SearchCaps(max_visited_maps=1000))
-
-    def ask():
-        return [session.homotopic(forward, turned), session.homotopic(forward, backward),
-                session.homotopic(folded, scattered), session.nullhomotopic(folded),
-                session.nullhomotopic(forward), session.certificate_between(forward, turned),
-                session.certificate_between(scattered, folded),
-                session.certificate_between(forward, folded)]
-
+def _count_searches(monkeypatch):
+    """Names each A* and frame BFS, in order, while the test runs."""
     searches = []
     monkeypatch.setattr(homotopy, "_frame_bfs",
                         _counting(searches, "bfs", homotopy._frame_bfs))
     monkeypatch.setattr(HomotopySession, "_astar_single_point",
                         _counting(searches, "astar", HomotopySession._astar_single_point))
-    first = ask()
-    assert first[:5] == [True, False, True, True, False]
-    assert first[5] is not None and first[6] is not None and first[7] is None
-    assert "astar" in searches and "bfs" in searches
+    return searches
 
+
+def _refuse_searches(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a repeated query searched again")
+        raise AssertionError("a search ran")
 
     monkeypatch.setattr(homotopy, "_frame_bfs", refuse)
     monkeypatch.setattr(HomotopySession, "_astar_single_point", refuse)
-    assert ask() == first
+
+
+def _racket_maps(cod):
+    """Maps from the 12-point racket into cod, an image holding R8:
+    windings each way, a fold onto an arc and a random map."""
+    racket = _racket()
+    windings = [_ring_map(racket, cod, index) for index in (
+        lambda i: i, lambda i: i + 3, lambda i: -i, lambda i: min(i, 8 - i))]
+    return (*windings, random_continuous_map(racket, cod, random.Random(7)))
+
+
+def _racket_questions(session, cod):
+    """Eight questions on ``_racket_maps(cod)``; the last three ask for
+    certificates from forward to turned, scattered to folded and forward
+    to folded."""
+    forward, turned, backward, folded, scattered = _racket_maps(cod)
+    return [session.homotopic(forward, turned), session.homotopic(forward, backward),
+            session.homotopic(folded, scattered), session.nullhomotopic(folded),
+            session.nullhomotopic(forward), session.certificate_between(forward, turned),
+            session.certificate_between(scattered, folded),
+            session.certificate_between(forward, folded)]
+
+
+def test_session_repeated_queries_run_no_search(monkeypatch):
+    # The codomain is R8 with a one-point tail, which is not a ring, and
+    # twelve points are too many to classify, so every answer below comes
+    # from a directed search the first time and from a kept one after.
+    cod = _racket(1)
+    session = HomotopySession(SearchCaps(max_visited_maps=1000))
+    searches = _count_searches(monkeypatch)
+    first = _racket_questions(session, cod)
+    assert first[:5] == [True, False, True, True, False]
+    assert first[5] is not None and first[6] is not None and first[7] is None
+    assert "astar" in searches and "bfs" in searches
+    _refuse_searches(monkeypatch)
+    assert _racket_questions(session, cod) == first
+
+
+def test_session_ring_queries_run_no_search(r8, monkeypatch):
+    # Into R8, a ring of 8 points, degrees answer every question and the
+    # certificates are clamp chains: no search runs, even the first time.
+    _refuse_searches(monkeypatch)
+    session = HomotopySession(SearchCaps(max_visited_maps=1000))
+    got = _racket_questions(session, r8)
+    assert got[:5] == [True, False, True, True, False]
+    assert got[5] is not None and got[6] is not None and got[7] is None
+    forward, turned, _, folded, scattered = _racket_maps(r8)
+    for cert, f, g in ((got[5], forward, turned), (got[6], scattered, folded)):
+        check = verify_certificate(cert, f, g)
+        assert check.ok, check.reason
 
 
 def test_session_contractible_searches_once(r8, monkeypatch):
-    searches = []
-    monkeypatch.setattr(homotopy, "_frame_bfs",
-                        _counting(searches, "bfs", homotopy._frame_bfs))
-    monkeypatch.setattr(HomotopySession, "_astar_single_point",
-                        _counting(searches, "astar", HomotopySession._astar_single_point))
+    searches = _count_searches(monkeypatch)
     arc = induced_subimage(r8, RING8[:5])
-    # A cap of one map leaves R8 undecided, and that outcome is kept too.
-    for caps, img, expected in ((DEFAULT_CAPS, arc, True), (DEFAULT_CAPS, r8, False),
-                                (SearchCaps(max_visited_maps=1), r8, None)):
+    # R8 with a one-point tail is not a ring, so a search decides it.  A
+    # cap of one map leaves it undecided, and that outcome is kept too.
+    tailed = _racket(1)
+    for caps, img, expected in ((DEFAULT_CAPS, arc, True), (DEFAULT_CAPS, tailed, False),
+                                (SearchCaps(max_visited_maps=1), tailed, None)):
         session = HomotopySession(caps)
         searches.clear()
         assert session.contractible(img) is expected
@@ -645,11 +688,16 @@ def test_session_contractible_searches_once(r8, monkeypatch):
         ran = list(searches)
         assert session.contractible(img) is expected
         assert searches == ran
+    # R8 itself is a ring: its identity's degree says no under any cap.
+    searches.clear()
+    for caps in (DEFAULT_CAPS, SearchCaps(max_visited_maps=1)):
+        assert HomotopySession(caps).contractible(r8) is False
+    assert searches == []
     # A full product splits by its factors and reads their kept answers.
     session = HomotopySession(DEFAULT_CAPS)
-    assert session.contractible(arc) is True and session.contractible(r8) is False
+    assert session.contractible(arc) is True and session.contractible(tailed) is False
     searches.clear()
-    assert session.contractible(np_product([arc, r8], 2)) is False
+    assert session.contractible(np_product([arc, tailed], 2)) is False
     assert searches == []
 
 
@@ -731,3 +779,109 @@ def test_shared_session_answers_as_a_fresh_one(memo_sessions, queries, which):
             got = True
         if got is not None:
             assert got is (_winding(f) == (0 if g is None else _winding(g)))
+
+
+# --- maps into rings of at least 5 points: degrees decide
+
+
+def _explicit_image(n, edges):
+    """Points (0,) .. (n - 1,) with the given index pairs as edges."""
+    return build_image([(i,) for i in range(n)],
+                       Explicit(frozenset(normalize_edge((a,), (b,)) for a, b in edges)))
+
+
+_RINGS = {m: _explicit_image(m, [(i, (i + 1) % m) for i in range(m)]) for m in range(4, 13)}
+# Rings of 5 to 12 points hold few maps from a domain with many edges, so
+# spaces over this many maps are skipped; union-find over them is slow.
+_RING_SPACE_LIMIT = 3000
+
+
+@st.composite
+def _ring_spaces(draw):
+    """A domain of at most 10 points and a ring of 5 to 12 points.  The
+    domain is a cycle of 3 to 8 points with random chords, and up to two
+    more points joined to random earlier ones, or to none."""
+    length = draw(st.integers(3, 8))
+    n = draw(st.integers(length, min(10, length + 2)))
+    edges = {(i, (i + 1) % length) for i in range(length)}
+    pairs = [(a, b) for b in range(n) for a in range(b) if (a, b) not in edges
+             and (b, a) not in edges]
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs), max_size=3))
+    # Half the rings are no longer than the cycle, so that maps can wind.
+    size = draw(st.integers(5, 12) | st.integers(5, max(5, length)))
+    return _explicit_image(n, edges), _RINGS[size]
+
+
+@settings(max_examples=50, deadline=None)
+@given(space=_ring_spaces(), data=st.data())
+def test_ring_degree_classes_equal_union_find(space, data):
+    dom, ring = space
+    key = (dom.key, ring.key)
+    caps = SearchCaps(max_visited_maps=_RING_SPACE_LIMIT)
+    const = (ring.points[0],) * len(dom)
+    by_degree = HomotopySession(caps)
+    assert by_degree._ring(dom, ring) is not None
+    try:
+        space = by_degree.map_space(dom, ring, _RING_SPACE_LIMIT)
+    except CapExceeded:
+        reject()
+    by_degree.class_root(dom, ring, const)
+    by_search = HomotopySession(caps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HomotopySession, "_ring", lambda self, domain, codomain: None)
+        by_search.class_root(dom, ring, const)
+    roots = by_search._roots[key]
+    assert by_degree._roots[key] == roots
+    # The ring route of _reach agrees with the union-find classes, and
+    # every clamp chain is a certificate.
+    index = st.integers(0, len(space) - 1)
+    for _ in range(3):
+        f = _map_from_values(dom, ring, space[data.draw(index)])
+        g = _map_from_values(dom, ring, space[data.draw(index)])
+        for end in (g, None):
+            chain = by_degree._reach(f, end)
+            target = end or _map_from_values(dom, ring, (f.values[0],) * len(dom))
+            assert bool(chain) is (roots[f.values] == roots[target.values])
+            if chain:
+                cert = homotopy._certificate_from_chain(dom, ring, chain)
+                check = verify_certificate(cert, f, target)
+                assert check.ok, check.reason
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_ring_domain_maps())
+def test_ring_route_agrees_with_reference_search(pair):
+    f, g = pair
+    session = HomotopySession(DEFAULT_CAPS)
+    assert session._ring(f.domain, f.codomain) is not None
+    for end in (g, None):
+        chain = session._reach(f, end)
+        if end is None:
+            expected = is_nullhomotopic(f).decided == YES
+            end = constant_map(f.domain, f.codomain, f.values[0])
+        else:
+            expected = _reference_homotopic(f, end)
+        assert bool(chain) is expected
+        if chain:
+            cert = homotopy._certificate_from_chain(f.domain, f.codomain, chain)
+            check = verify_certificate(cert, f, end)
+            assert check.ok, check.reason
+
+
+def test_four_point_ring_keeps_union_find_and_astar(i2, monkeypatch):
+    # On 4 points the degree rule is false: C4 contracts, so its maps go
+    # through the old engines, while 5 points already make a ring table.
+    c4 = _RINGS[4]
+    session = HomotopySession(DEFAULT_CAPS)
+    assert session._ring(c4, c4) is None and session._ring(i2, c4) is None
+    assert session._ring(i2, _RINGS[5]) is not None
+    searches = _count_searches(monkeypatch)
+    moves = []
+    monkeypatch.setattr(homotopy._MapGraph, "single_point_moves",
+                        _counting(moves, "move", homotopy._MapGraph.single_point_moves))
+    assert session.contractible(c4) is True
+    assert searches[0] == "astar"
+    ident = identity_map(c4)
+    assert session.class_root(c4, c4, ident.values) == min(session._spaces[(c4.key, c4.key)])
+    assert moves

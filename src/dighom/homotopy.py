@@ -21,20 +21,17 @@ searched again.  Everything else goes through one directed search, whose
 every answer the session keeps: it depends on the two maps and the caps
 alone, so a question asked again is answered as a fresh session would.
 
-Maps into a ring of m >= 5 points, a connected image whose every point
-has two neighbours, need no search.  Two of them are homotopic exactly
-when they have the same degree around every cycle of the domain, and
-then a chain of frames follows from their lifts to the integers.  So the
-session classifies such a map space by degree and answers every directed
-question on it with a "clamp chain" or a definite no.  On 4 points the
-rule is false, since C4 contracts, so C4 keeps the search engines.
-
-For other codomains, a homotopy restricts to any induced subimage S of
-its domain: each frame stays continuous on S and consecutive frames stay
-pointwise adjacent or equal there.  So for a larger domain a "no" can
-come from the restriction to an induced cycle of at most
-``FLAT_CLASS_LIMIT`` points, whose map space the session classifies; a
-"yes" still needs a chain of frames.
+A point folds onto a neighbour when its other neighbours all neighbour
+that one, and folding until no point folds leaves a core that the codomain
+retracts onto, one step per fold.  Maps into a codomain whose core is a
+single point, or a ring of m >= 5 points, a connected image whose every
+point has two neighbours, need no search.  Two of them are homotopic
+exactly when their retractions have the same degree around every cycle
+of the domain, and then a chain of frames follows from the folds and
+from the lifts to the integers.  So the session classifies such a map
+space by degree and answers every directed question on it with a chain
+or a definite no.  On 4 points the rule is false, since C4 contracts, so
+C4 keeps the search engines, as does every other core.
 
 Only plain homotopy is decided here.  Homotopy through every probe map
 is m-homotopic distance zero, which the solver decides.
@@ -49,7 +46,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceeded, ValidationError
-from .lattice import DigitalImage, DigitalPath, induced_subimage, interval_image, np_product
+from .lattice import DigitalImage, DigitalPath, interval_image, np_product
 from .maps import (
     DigitalMap,
     compose,
@@ -69,8 +66,7 @@ CAP = "cap-exceeded"
 FLAT_CLASS_LIMIT = 10
 
 # Only codomains up to this many points get the contractible shortcut in
-# ``_decide`` and the small-cycle restriction, whose map spaces
-# ``class_root`` partitions.
+# ``_decide``.
 SMALL_CODOMAIN_LIMIT = 64
 
 
@@ -246,8 +242,18 @@ class _MapGraph:
 
 
 class _Ring:
-    """Degrees and clamp chains of the maps from one domain into a ring of
-    m >= 5 points, a connected image whose every point has two neighbours.
+    """Degrees and chains of the maps from one domain into a codomain that
+    folds to a single point or to a ring of m >= 5 points, a connected
+    image whose every point has two neighbours.
+
+    A point x folds onto a neighbour y when every other neighbour of x is
+    a neighbour of y.  Sending x to y is then a continuous retraction onto
+    the image without x, and it moves one point one step, so folding until
+    no point folds leaves a core C with a retraction r onto it, and f is
+    joined to r*f by frames that each fold one point.  So f and g are
+    homotopic exactly when r*f and r*g are, and ``index`` gives every
+    codomain point the ring index of its retraction.  A one-point core is
+    the ring m = 1: every degree is 0.
 
     A map lifts to the integers along a BFS spanning forest of the domain:
     each root to its ring index, each child to its parent's lift plus the
@@ -265,12 +271,16 @@ class _Ring:
     f~ + clamp(d, -t, t) for t = 0 .. max|d| are medians of the three
     1-Lipschitz functions f~ - t, g~, f~ + t on every edge, so each is
     continuous and each moves every point at most one step: a certificate
-    built without search.
+    from r*f to r*g built without search.
     """
 
-    def __init__(self, domain, order):
+    def __init__(self, domain, order, folds):
         self.order = order
+        self.folds = folds
+        # Each point folds onto one that folds later or lies on the core.
         self.index = {x: i for i, x in enumerate(order)}
+        for x, y in reversed(folds):
+            self.index[x] = self.index[y]
         pos = {p: i for i, p in enumerate(domain.points)}
         # (point, parent) domain positions, every parent before its
         # children; a root's parent is None.
@@ -295,16 +305,36 @@ class _Ring:
     @classmethod
     def build(cls, domain, codomain):
         """The table for maps from domain into codomain, or None unless the
-        codomain is a ring of at least 5 points."""
-        pts = codomain.points
-        if len(pts) < 5 or not codomain.is_connected() or any(
-                len(codomain.neighbors(x)) != 2 for x in pts):
+        codomain folds to a single point or to a ring of at least 5 points.
+        Passes over ``codomain.points`` fold each point onto its least
+        neighbour that it folds onto, until a pass folds none."""
+        if not codomain.is_connected():
             return None
-        order = [pts[0], codomain.neighbors(pts[0])[0]]
-        while len(order) < len(pts):
+        nbrs = {x: set(codomain.neighbors(x)) for x in codomain.points}
+        folds = []
+        folded = True
+        while folded:
+            folded = False
+            for x in codomain.points:
+                if x not in nbrs:
+                    continue
+                y = next((y for y in sorted(nbrs[x]) if nbrs[x] <= nbrs[y] | {y}), None)
+                if y is not None:
+                    for z in nbrs.pop(x):
+                        nbrs[z].discard(x)
+                    folds.append((x, y))
+                    folded = True
+        core = [x for x in codomain.points if x in nbrs]
+        if len(core) == 1:
+            return cls(domain, tuple(core), folds)
+        if len(core) < 5 or any(len(nbrs[x]) != 2 for x in core):
+            return None
+        # A retract of a connected image is connected, so the core is one ring.
+        order = [core[0], min(nbrs[core[0]])]
+        while len(order) < len(core):
             a, b = order[-2:]
-            order.append(next(x for x in codomain.neighbors(b) if x != a))
-        return cls(domain, tuple(order))
+            order.append(next(x for x in nbrs[b] if x != a))
+        return cls(domain, tuple(order), folds)
 
     def lift(self, values, near=None):
         """The lift of the map with these values, in domain order.  Each
@@ -331,17 +361,28 @@ class _Ring:
         m = len(self.order)
         return tuple((lift[v] - lift[u] + m // 2) // m for u, v in self.chords)
 
+    def _folding(self, values):
+        """The frames from the map with these values to its retraction
+        onto the core, one for each fold that moves a value."""
+        frames = [values]
+        for x, y in self.folds:
+            if x in frames[-1]:
+                frames.append(tuple(y if v == x else v for v in frames[-1]))
+        return frames
+
     def chain(self, f, g):
-        """The clamp chain of value tuples from f to g, or () when their
-        degrees differ."""
+        """The value tuples of a frame path from f to g, or () when their
+        degrees differ: the folds from f to r*f, the clamp chain from r*f
+        to r*g, and the folds from g to r*g backwards."""
         a = self.lift(f)
         b = self.lift(g, near=a)
         if self.degrees(a) != self.degrees(b):
             return ()
         order, m = self.order, len(self.order)
         d = [y - x for x, y in zip(a, b)]
-        return tuple(tuple(order[(x + max(-t, min(t, e))) % m] for x, e in zip(a, d))
-                     for t in range(max(map(abs, d)) + 1))
+        clamp = [tuple(order[(x + max(-t, min(t, e))) % m] for x, e in zip(a, d))
+                 for t in range(max(map(abs, d)) + 1)]
+        return tuple(self._folding(f)[:-1] + clamp + self._folding(g)[-2::-1])
 
 
 def _map_from_values(domain, codomain, values):
@@ -534,12 +575,13 @@ class HomotopySession:
 
     For domains of up to ``FLAT_CLASS_LIMIT`` points the first query about
     a (domain, codomain) pair partitions that whole map space into its
-    homotopy classes: by degree into a ring of at least 5 points, and
-    otherwise by union-find over single-point moves, then over frame
-    moves from the maps outside the largest class.  Later queries compare
-    canonical roots, the least map of each class either way.  The session
-    keeps every whole map space it enumerates (``map_space``), so the class
-    table and the product engine's coordinate maps read one enumeration.
+    homotopy classes: by degree into a codomain that folds to a point or
+    to a ring of at least 5 points, and otherwise by union-find over
+    single-point moves, then over frame moves from the maps outside the
+    largest class.  Later queries compare canonical roots, the least map
+    of each class either way.  The session keeps every whole map space it
+    enumerates (``map_space``), so the class table and the product
+    engine's coordinate maps read one enumeration.
     When the map space has more maps than the visited-maps cap, only the
     queried component is closed, by frame BFS.  A closure that hits the
     cap has touched more maps of one component than the cap allows, and a
@@ -547,20 +589,18 @@ class HomotopySession:
     remembered and later answers None without a search.
 
     Every other question goes to ``_reach``, the one directed search from
-    f to g, or with g None to any constant map.  Into a ring of at least 5
-    points it searches nothing: unequal degrees say no, equal ones give a
-    clamp chain (``_Ring``), under any caps.  Into any other codomain it
-    runs a component check; for larger domains the restriction to each
-    induced subimage on the shortest cycle through an edge, of at most
-    ``FLAT_CLASS_LIMIT`` points, where a class that closes without the
-    other restriction proves no; a single-point-move A* that can only
-    prove yes; a frame BFS within caps.  Its chain of states is the
-    certificate.  Every answer of ``_reach``, chain, no or capped, is kept
-    and returned again for the same maps.  That is exact: degrees depend
-    on the maps alone, the class roots and capped sets the restriction
-    reads do not depend on which queries came first, and both searches
-    start from f alone, so a kept answer is the one a fresh session would
-    give.
+    f to g, or with g None to any constant map.  Into a codomain that folds
+    to a point or to a ring of at least 5 points it searches nothing:
+    unequal degrees say no, equal ones give a chain of folds and clamps
+    (``_Ring``), under any caps.  Into any other codomain it runs a
+    component check, a single-point-move A* that can only prove yes, and a
+    frame BFS within caps, so there a "no" on a domain over
+    ``FLAT_CLASS_LIMIT`` points comes only from a frame BFS that exhausts
+    the component of f.  Its chain of states is the certificate.  Every
+    answer of ``_reach``, chain, no or capped, is kept and returned again
+    for the same maps.  That is exact: degrees depend on the maps alone,
+    and both searches start from f alone, so a kept answer is the one a
+    fresh session would give.
 
     ``homotopic`` and ``nullhomotopic`` are both answered by ``_decide``:
     it splits full-product codomains into their factors, accepts at once
@@ -581,7 +621,6 @@ class HomotopySession:
         self._partitioned = set()
         self._spaces = {}
         self._capped = {}
-        self._cycles = {}
         self._chains = {}
         self._dist = {}
         self._rings = {}
@@ -598,7 +637,8 @@ class HomotopySession:
 
     def _ring(self, domain, codomain):
         """The ring table of maps from domain into codomain, or None when
-        the codomain is not a ring of at least 5 points; built once."""
+        the codomain folds neither to a point nor to a ring of at least 5
+        points; built once."""
         key = (domain.key, codomain.key)
         if key not in self._rings:
             self._rings[key] = _Ring.build(domain, codomain)
@@ -664,15 +704,16 @@ class HomotopySession:
         A space with more maps than the visited-maps cap is marked capped
         instead, with no roots filled in.
 
-        Into a ring of at least 5 points, maps are grouped by their degrees
-        (``_Ring``), and the first map of each group in lex order, the
-        least of its class, is its root.  Into any other codomain the
-        classes come from union-find.  Single-point moves are frame moves,
-        so union-find over them gives classes no coarser than the true
-        ones.  Frame moves are then followed only from maps not yet in the
-        largest class.  The frame relation is symmetric, so an edge skipped
-        at both of its ends joins two maps already in the largest class and
-        would merge nothing.
+        Into a codomain that folds to a point or to a ring of at least 5
+        points, maps are grouped by their degrees (``_Ring``), and the
+        first map of each group in lex order, the least of its class, is
+        its root.  Into any other codomain the classes come from
+        union-find.  Single-point moves are frame moves, so union-find over
+        them gives classes no coarser than the true ones.  Frame moves are
+        then followed only from maps not yet in the largest class.  The
+        frame relation is symmetric, so an edge skipped at both of its ends
+        joins two maps already in the largest class and would merge
+        nothing.
         """
         key = (domain.key, codomain.key)
         budget = self.caps.max_visited_maps
@@ -750,71 +791,6 @@ class HomotopySession:
             return tuple(ids)
         return self.class_root(f.domain, cod, f.values)
 
-    # -- restriction to small induced cycles
-
-    def _small_cycles(self, domain):
-        """The induced subimages on the shortest cycle through each edge of
-        the domain that has at most ``FLAT_CLASS_LIMIT`` points, each with
-        the domain positions of its points; computed once per domain."""
-        got = self._cycles.get(domain.key)
-        if got is not None:
-            return got
-        got = []
-        seen = set()
-        pos = {p: i for i, p in enumerate(domain.points)}
-        for a, b in domain.edges:
-            # A shortest path from a to b that avoids the edge ab closes the
-            # shortest cycle through it; a shorter chord would shorten it.
-            prev = {a: None}
-            frontier = [a]
-            for _ in range(FLAT_CLASS_LIMIT - 1):
-                if b in prev or not frontier:
-                    break
-                nxt = []
-                for cur in frontier:
-                    for nb in domain.neighbors(cur):
-                        if nb not in prev and (cur, nb) != (a, b):
-                            prev[nb] = cur
-                            nxt.append(nb)
-                frontier = nxt
-            if b not in prev:
-                continue
-            cycle = [b]
-            while prev[cycle[-1]] is not None:
-                cycle.append(prev[cycle[-1]])
-            points = frozenset(cycle)
-            if points not in seen:
-                seen.add(points)
-                sub = induced_subimage(domain, points)
-                got.append((sub, [pos[p] for p in sub.points]))
-        self._cycles[domain.key] = got
-        return got
-
-    def _restriction_says_no(self, f, g):
-        """Whether some small induced cycle S of the domain proves that f
-        does not reach g, or with g None any constant map.  A homotopy
-        restricts to S, so f|S and g|S lying in different components, one
-        of them closed within the caps, proves no.  False means unproven.
-        Only codomains of at most ``SMALL_CODOMAIN_LIMIT`` points are tried."""
-        cod = f.codomain
-        if len(cod) > SMALL_CODOMAIN_LIMIT:
-            return False
-        # Constant maps into one codomain component form one class, so one
-        # constant stands for all of them.
-        base = cod.components()[cod.component_id(f.values[0])][0]
-        for sub, idx in self._small_cycles(f.domain):
-            fs = tuple(f.values[i] for i in idx)
-            gs = (base,) * len(idx) if g is None else tuple(g.values[i] for i in idx)
-            if fs == gs:
-                continue
-            for a, b in ((fs, gs), (gs, fs)):
-                root = self.class_root(sub, cod, a)
-                if root is not None:
-                    if self._roots[(sub.key, cod.key)].get(b) != root:
-                        return True
-                    break
-        return False
-
     # -- contractibility
 
     def contractible(self, img):
@@ -876,12 +852,12 @@ class HomotopySession:
         some constant map, as a tuple; () when there is none, None when
         capped.  Callers pass continuous maps.
 
-        Into a ring of at least 5 points the degrees decide, without search
-        and whatever the caps: unequal degrees give (), equal ones the clamp
-        chain of ``_Ring``, with g None to the constant at f's first value.
-        Into any other codomain, in order: the component check, the
-        small-cycle restriction for domains over ``FLAT_CLASS_LIMIT``, A*
-        over single-point moves, frame BFS.
+        Into a codomain that folds to a point or to a ring of at least 5
+        points the degrees decide, without search and whatever the caps:
+        unequal degrees give (), equal ones the chain of ``_Ring``, with g
+        None to the constant at f's first value.  Into any other codomain,
+        in order: the component check, A* over single-point moves, frame
+        BFS; only an exhausted frame BFS says no there.
 
         Every answer, cap outcomes included, is kept, so a question asked
         again costs one lookup.  It is exact because the answer depends on
@@ -894,8 +870,7 @@ class HomotopySession:
         if ring is not None:
             end = (f.values[0],) * len(f.values) if g is None else g.values
             chain = ring.chain(f.values, end)
-        elif _component_mismatch(f, g) is not None or (
-                len(f.domain) > FLAT_CLASS_LIMIT and self._restriction_says_no(f, g)):
+        elif _component_mismatch(f, g) is not None:
             chain = ()
         else:
             targets = {g.values} if g is not None else _constant_targets(f)
@@ -993,36 +968,3 @@ class HomotopySession:
             if right:
                 return g
         return None
-
-
-# --- certificate JSON ----------------------------------------------------------
-
-
-def certificate_to_json(cert):
-    first = cert.frames[0]
-    return {
-        "domain": lattice.image_to_json(first.domain),
-        "codomain": lattice.image_to_json(first.codomain),
-        "frames": [
-            [[list(p), list(fr.mapping[p])] for p in fr.domain.points]
-            for fr in cert.frames
-        ],
-    }
-
-
-def certificate_from_json(obj):
-    if not isinstance(obj, dict) or "frames" not in obj:
-        raise ValidationError("certificate document must contain frames")
-    domain = lattice.image_from_json(obj["domain"])
-    codomain = lattice.image_from_json(obj["codomain"])
-    frames = []
-    for t, entries in enumerate(obj["frames"]):
-        mapping = {}
-        for entry in entries:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ValidationError(f"frames[{t}]: expected [source, target] pairs")
-            src = lattice._point_from_json(entry[0], f"frames[{t}] source")
-            dst = lattice._point_from_json(entry[1], f"frames[{t}] target")
-            mapping[src] = dst
-        frames.append(maps_mod.digital_map(domain, codomain, mapping))
-    return HomotopyCertificate(tuple(frames))

@@ -649,9 +649,3 @@ def _read_json(path):
 
 def load_image(path):
     return image_from_json(_read_json(path))
-
-
-def dump_image(img, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(image_to_json(img), fh, indent=2)
-        fh.write("\n")

@@ -53,9 +53,6 @@ class DigitalMap:
     def __repr__(self):
         return f"<DigitalMap {len(self.domain)}->{len(self.codomain)} points>"
 
-    def is_injective(self):
-        return len(set(self.values)) == len(self.domain)
-
 
 def digital_map(domain, codomain, assignment):
     """Build a map from a dict or callable; validates totality and targets."""
@@ -109,13 +106,6 @@ def constant_map(domain, codomain, target):
     return DigitalMap(domain, codomain, {p: target for p in domain.points})
 
 
-def inclusion_map(sub, ambient):
-    for p in sub.points:
-        if p not in ambient:
-            raise ValidationError(f"inclusion: {p!r} is not a point of the ambient image")
-    return DigitalMap(sub, ambient, {p: p for p in sub.points})
-
-
 def projection_map(product, index):
     """Projection onto the index-th factor (1-based) of a normal product."""
     if product.factors is None:
@@ -135,39 +125,6 @@ def diagonal_map(img, n=2, codomain=None):
     if codomain is None:
         codomain = np_product([img] * n, n)
     return DigitalMap(img, codomain, {p: p * n for p in img.points})
-
-
-def tuple_map(maps, codomain=None):
-    """Combine maps with a common domain into one map to the product."""
-    maps = list(maps)
-    if not maps:
-        raise ValidationError("tuple of zero maps")
-    dom = maps[0].domain
-    for f in maps[1:]:
-        if f.domain != dom:
-            raise ValidationError("tuple components must share a domain")
-    if codomain is None:
-        codomain = np_product([f.codomain for f in maps], len(maps))
-    mapping = {}
-    for p in dom.points:
-        combined = tuple(c for f in maps for c in f.mapping[p])
-        mapping[p] = combined
-    return digital_map(dom, codomain, mapping)
-
-
-def inverse_map(f):
-    if not f.is_injective() or len(f.domain) != len(f.codomain):
-        raise ValidationError("map is not bijective")
-    return DigitalMap(f.codomain, f.domain, {v: p for p, v in f.mapping.items()})
-
-
-def is_isomorphism(f):
-    """Bijective, continuous, with continuous inverse."""
-    if len(f.domain) != len(f.codomain) or not f.is_injective():
-        return False
-    if not is_continuous(f):
-        return False
-    return is_continuous(inverse_map(f))
 
 
 # --- enumeration -----------------------------------------------------------------
@@ -253,10 +210,6 @@ def enumerate_continuous_maps(domain, codomain, *, surjective_only=False, cap=No
         assign[i] = None
 
     yield from rec(0, set())
-
-
-def count_continuous_maps(domain, codomain, cap=None):
-    return sum(1 for _ in enumerate_continuous_maps(domain, codomain, cap=cap))
 
 
 def random_continuous_map(domain, codomain, rng):

@@ -35,7 +35,6 @@ that is when the whole domain is one good piece of their distance kind.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -1078,12 +1077,6 @@ def report_to_json(report):
         "notes": list(report.notes) + list(cover.notes),
         "timing_ms": 0,
     }
-
-
-def dump_report(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_json(report), fh, indent=2)
-        fh.write("\n")
 
 
 def verify_report(source, caps=DEFAULT_CAPS):

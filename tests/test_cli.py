@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import dighom
 from dighom import cli, homotopy, maps
 from dighom.lattice import CP, build_image, image_to_json, np_product
 from dighom.maps import constant_map, identity_map, map_to_json
@@ -38,6 +39,11 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in dighom.__all__ if not hasattr(dighom, name)]
+    assert not missing
 
 
 def test_image_validate_summary(capsys, ring_file):

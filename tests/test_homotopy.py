@@ -25,8 +25,6 @@ from dighom.homotopy import (
     YES,
     HomotopyCertificate,
     _map_from_values,
-    certificate_from_json,
-    certificate_to_json,
     function_space_adjacent,
     one_step_related,
 )
@@ -140,16 +138,6 @@ def test_certificate_tamper_detection(i2):
     check = verify_certificate(broken, ident, const)
     assert not check.ok
     assert "step violation" in check.reason or "endpoint" in check.reason
-
-
-def test_certificate_json_round_trip(i2):
-    ident = identity_map(i2)
-    const = constant_map(i2, i2, (0,))
-    cert = are_homotopic(ident, const).certificate
-    back = certificate_from_json(certificate_to_json(cert))
-    assert verify_certificate(back, ident, const).ok
-    with pytest.raises(ValidationError):
-        certificate_from_json({"nonsense": 1})
 
 
 def test_contractibility_zoo(point, i1, i4, c4, k4_square, r8):
@@ -393,6 +381,11 @@ def _racket(tail=4):
                        name=f"racket{8 + tail}")
 
 
+# R8 with a square attached along its edge from (2, 0) to (2, 1).  No point
+# folds, so this core is not a ring and maps into it go through search.
+_R8_SQUARE = build_image(RING8 + [(3, 0), (3, 1)], CP(1), name="R8+square")
+
+
 def _ring_map(racket, r8, ring_index):
     """Ring point i to RING8[ring_index(i)]; the tail follows (2, 1)."""
     mapping = {p: RING8[ring_index(i) % 8] for i, p in enumerate(RING8)}
@@ -421,9 +414,8 @@ def test_session_big_domain_matches_reference(r8):
 
 
 def test_session_big_domain_no_from_ring_under_cap(r8):
-    # At cap 1 000 a null map's component overruns the cap, on the racket
-    # and on its ring alike; the winding map's component on the ring closes
-    # without the null map in it, which proves no.
+    # At cap 1 000 a null map's component overruns the cap, but R8 is a
+    # ring, so the winding map's degree proves no without a search.
     racket = _racket()
     session = HomotopySession(SearchCaps(max_visited_maps=1000))
     folded = _ring_map(racket, r8, lambda i: min(i, 8 - i))
@@ -439,49 +431,8 @@ def test_session_certificate_between_windings_skips_search(r8):
     forward = _ring_map(racket, r8, lambda i: i)
     backward = _ring_map(racket, r8, lambda i: -i)
     assert session.certificate_between(forward, backward) is None
-    # The ring proved no, so no search ran over the racket's map space.
+    # R8's degrees proved no, so no search ran over the racket's map space.
     assert (racket.key, r8.key) not in session._graphs
-
-
-# Domains with a small induced cycle, each marked whether R8 lies inside
-# it, so that maps from it can wind around the ring.
-_RESTRICT_DOMAINS = [(_C4, False), (_R8, True), (_racket(1), True), (_racket(2), True)]
-
-
-@st.composite
-def _ring_domain_maps(draw):
-    """Two maps into R8 from one domain, each random or winding once
-    around the ring: random maps into R8 are almost all null, and only
-    winding maps let the restriction say no."""
-    dom, winds = draw(st.sampled_from(_RESTRICT_DOMAINS))
-
-    def one_map():
-        if winds and draw(st.booleans()):
-            shift, sign = draw(st.integers(0, 7)), draw(st.sampled_from((1, -1)))
-            return _ring_map(dom, _R8, lambda i: shift + sign * i)
-        return random_continuous_map(dom, _R8, random.Random(draw(st.integers(0, 2**32))))
-
-    return one_map(), one_map()
-
-
-@pytest.fixture(scope="module")
-def restriction_sessions():
-    # One session per cap: under 1 000 the ring's self-map space is closed
-    # component by component, under the default cap it is partitioned.
-    return [HomotopySession(SearchCaps(max_visited_maps=1000)),
-            HomotopySession(DEFAULT_CAPS)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(pair=_ring_domain_maps(), which=st.sampled_from((0, 1)))
-def test_restriction_no_agrees_with_reference(restriction_sessions, pair, which):
-    f, g = pair
-    session = restriction_sessions[which]
-    if session._restriction_says_no(f, None):
-        assert is_nullhomotopic(f).decided == NO
-    for a, b in ((f, g), (g, f)):
-        if session._restriction_says_no(a, b):
-            assert _reference_homotopic(a, b) is False
 
 
 def test_session_refuses_discontinuous_maps(r8):
@@ -591,9 +542,8 @@ def test_session_contractible_under_tiny_cap(r8, c4, i4, reference_search_forbid
     # the cap, where the reference search gives up.
     assert HomotopySession(tiny).contractible(r8) is False
     assert _reference_contractible(reference_search_forbidden, r8, tiny) is None
-    # A* searches at least 1 000 maps whatever the cap, and the interval
-    # folds up point by point, so that proof stands where the reference
-    # search gives up.
+    # The interval folds to a point, so its fold chain stands where the
+    # reference search gives up.
     assert HomotopySession(tiny).contractible(i4) is True
     assert _reference_contractible(reference_search_forbidden, i4, tiny) is None
 
@@ -645,10 +595,10 @@ def _racket_questions(session, cod):
 
 
 def test_session_repeated_queries_run_no_search(monkeypatch):
-    # The codomain is R8 with a one-point tail, which is not a ring, and
-    # twelve points are too many to classify, so every answer below comes
-    # from a directed search the first time and from a kept one after.
-    cod = _racket(1)
+    # The codomain is R8 with a square attached, which folds to no ring,
+    # and twelve points are too many to classify, so every answer below
+    # comes from a directed search the first time and from a kept one after.
+    cod = _R8_SQUARE
     session = HomotopySession(SearchCaps(max_visited_maps=1000))
     searches = _count_searches(monkeypatch)
     first = _racket_questions(session, cod)
@@ -660,27 +610,30 @@ def test_session_repeated_queries_run_no_search(monkeypatch):
 
 
 def test_session_ring_queries_run_no_search(r8, monkeypatch):
-    # Into R8, a ring of 8 points, degrees answer every question and the
-    # certificates are clamp chains: no search runs, even the first time.
+    # Into R8, a ring of 8 points, and into R8 with a one-point tail, which
+    # folds onto R8, degrees answer every question and the certificates
+    # are chains of folds and clamps: no search runs, even the first time.
     _refuse_searches(monkeypatch)
-    session = HomotopySession(SearchCaps(max_visited_maps=1000))
-    got = _racket_questions(session, r8)
-    assert got[:5] == [True, False, True, True, False]
-    assert got[5] is not None and got[6] is not None and got[7] is None
-    forward, turned, _, folded, scattered = _racket_maps(r8)
-    for cert, f, g in ((got[5], forward, turned), (got[6], scattered, folded)):
-        check = verify_certificate(cert, f, g)
-        assert check.ok, check.reason
+    for cod, caps in itertools.product((r8, _racket(1)),
+                                       (SearchCaps(max_visited_maps=1000), DEFAULT_CAPS)):
+        session = HomotopySession(caps)
+        got = _racket_questions(session, cod)
+        assert got[:5] == [True, False, True, True, False]
+        assert got[5] is not None and got[6] is not None and got[7] is None
+        forward, turned, _, folded, scattered = _racket_maps(cod)
+        for cert, f, g in ((got[5], forward, turned), (got[6], scattered, folded)):
+            check = verify_certificate(cert, f, g)
+            assert check.ok, check.reason
+    assert HomotopySession(SearchCaps(max_visited_maps=1)).contractible(_racket(1)) is False
 
 
-def test_session_contractible_searches_once(r8, monkeypatch):
+def test_session_contractible_searches_once(r8, c4, monkeypatch):
     searches = _count_searches(monkeypatch)
-    arc = induced_subimage(r8, RING8[:5])
-    # R8 with a one-point tail is not a ring, so a search decides it.  A
-    # cap of one map leaves it undecided, and that outcome is kept too.
-    tailed = _racket(1)
-    for caps, img, expected in ((DEFAULT_CAPS, arc, True), (DEFAULT_CAPS, tailed, False),
-                                (SearchCaps(max_visited_maps=1), tailed, None)):
+    # C4 and R8 with a square attached fold to no ring, so a search decides
+    # them.  A cap of one map leaves the latter undecided, and that outcome
+    # is kept too.
+    for caps, img, expected in ((DEFAULT_CAPS, c4, True), (DEFAULT_CAPS, _R8_SQUARE, False),
+                                (SearchCaps(max_visited_maps=1), _R8_SQUARE, None)):
         session = HomotopySession(caps)
         searches.clear()
         assert session.contractible(img) is expected
@@ -688,16 +641,20 @@ def test_session_contractible_searches_once(r8, monkeypatch):
         ran = list(searches)
         assert session.contractible(img) is expected
         assert searches == ran
-    # R8 itself is a ring: its identity's degree says no under any cap.
+    # R8 is a ring, R8 with a one-point tail folds onto it, and an arc of R8
+    # and a tree fold to a point: degrees decide them under any cap.
     searches.clear()
+    arc = induced_subimage(r8, RING8[:5])
+    tree = induced_subimage(_GRID3, [(0, 0), (1, 0), (2, 0), (1, 1), (1, 2)])
     for caps in (DEFAULT_CAPS, SearchCaps(max_visited_maps=1)):
-        assert HomotopySession(caps).contractible(r8) is False
+        for img, expected in ((r8, False), (_racket(1), False), (arc, True), (tree, True)):
+            assert HomotopySession(caps).contractible(img) is expected
     assert searches == []
     # A full product splits by its factors and reads their kept answers.
     session = HomotopySession(DEFAULT_CAPS)
-    assert session.contractible(arc) is True and session.contractible(tailed) is False
+    assert session.contractible(c4) is True and session.contractible(_R8_SQUARE) is False
     searches.clear()
-    assert session.contractible(np_product([arc, tailed], 2)) is False
+    assert session.contractible(np_product([c4, _R8_SQUARE], 2)) is False
     assert searches == []
 
 
@@ -781,7 +738,8 @@ def test_shared_session_answers_as_a_fresh_one(memo_sessions, queries, which):
             assert got is (_winding(f) == (0 if g is None else _winding(g)))
 
 
-# --- maps into rings of at least 5 points: degrees decide
+# --- maps into codomains that fold to a point or to a ring of at least 5
+# points: degrees decide
 
 
 def _explicit_image(n, edges):
@@ -796,11 +754,40 @@ _RINGS = {m: _explicit_image(m, [(i, (i + 1) % m) for i in range(m)]) for m in r
 _RING_SPACE_LIMIT = 3000
 
 
+def _folding_onto(img, draw, most):
+    """img with 1 to ``most`` more points, each joined to a random earlier
+    point p and to some of p's neighbours, so that it folds onto p: pendant
+    paths, trees and dominated points.  The result folds back onto img."""
+    points, edges = list(img.points), set(img.edges)
+    for k in range(draw(st.integers(1, most))):
+        new = (100 + k,) * len(points[0])
+        p = draw(st.sampled_from(points))
+        nbrs = sorted({b if a == p else a for a, b in edges if p in (a, b)})
+        joined = [p] + (draw(st.lists(st.sampled_from(nbrs), unique=True)) if nbrs else [])
+        edges |= {normalize_edge(new, q) for q in joined}
+        points.append(new)
+    return build_image(points, Explicit(frozenset(edges)))
+
+
+def _folding_codomain(draw, ring):
+    """ring itself, ring with points that fold onto it, an interval, or
+    another image that folds to a point: a tree or a point grown as above."""
+    kind = draw(st.sampled_from(("folds to the ring", "ring", "folds to a point", "interval")))
+    if kind == "ring":
+        return ring
+    if kind == "folds to the ring":
+        return _folding_onto(ring, draw, 3)
+    if kind == "interval":
+        return interval_image(0, draw(st.integers(1, 4)))
+    return _folding_onto(_explicit_image(1, []), draw, 3)
+
+
 @st.composite
 def _ring_spaces(draw):
-    """A domain of at most 10 points and a ring of 5 to 12 points.  The
-    domain is a cycle of 3 to 8 points with random chords, and up to two
-    more points joined to random earlier ones, or to none."""
+    """A domain of at most 10 points and a codomain that folds to a point
+    or to a ring of 5 to 12 points.  The domain is a cycle of 3 to 8
+    points with random chords, and up to two more points joined to random
+    earlier ones, or to none."""
     length = draw(st.integers(3, 8))
     n = draw(st.integers(length, min(10, length + 2)))
     edges = {(i, (i + 1) % length) for i in range(length)}
@@ -810,7 +797,30 @@ def _ring_spaces(draw):
         edges |= draw(st.sets(st.sampled_from(pairs), max_size=3))
     # Half the rings are no longer than the cycle, so that maps can wind.
     size = draw(st.integers(5, 12) | st.integers(5, max(5, length)))
-    return _explicit_image(n, edges), _RINGS[size]
+    return _explicit_image(n, edges), _folding_codomain(draw, _RINGS[size])
+
+
+# Domains with a small induced cycle, each marked whether R8 lies inside
+# it, so that maps from it can wind around the ring.
+_RING_DOMAINS = [(_C4, False), (_R8, True), (_racket(1), True), (_racket(2), True)]
+
+
+@st.composite
+def _ring_domain_maps(draw):
+    """Two maps from one domain into R8 or into a codomain that folds to R8
+    or to a point, each random or, when R8 lies in both images, winding
+    once around it: random maps into R8 are almost all null."""
+    dom, winds = draw(st.sampled_from(_RING_DOMAINS))
+    cod = _folding_codomain(draw, _R8)
+    winds = winds and set(RING8) <= set(cod.points)
+
+    def one_map():
+        if winds and draw(st.booleans()):
+            shift, sign = draw(st.integers(0, 7)), draw(st.sampled_from((1, -1)))
+            return _ring_map(dom, cod, lambda i: shift + sign * i)
+        return random_continuous_map(dom, cod, random.Random(draw(st.integers(0, 2**32))))
+
+    return one_map(), one_map()
 
 
 @settings(max_examples=50, deadline=None)
@@ -872,9 +882,12 @@ def test_ring_route_agrees_with_reference_search(pair):
 def test_four_point_ring_keeps_union_find_and_astar(i2, monkeypatch):
     # On 4 points the degree rule is false: C4 contracts, so its maps go
     # through the old engines, while 5 points already make a ring table.
+    # C4 with a one-point tail folds onto C4, so it gets no table either.
     c4 = _RINGS[4]
+    tailed = _explicit_image(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
     session = HomotopySession(DEFAULT_CAPS)
     assert session._ring(c4, c4) is None and session._ring(i2, c4) is None
+    assert session._ring(tailed, tailed) is None and session._ring(i2, tailed) is None
     assert session._ring(i2, _RINGS[5]) is not None
     searches = _count_searches(monkeypatch)
     moves = []

@@ -10,16 +10,18 @@ of intermediate frames.
 The search state space grows exponentially with the domain, so every
 entry point takes explicit caps and reports "cap-exceeded" rather than
 guessing.  The plain frame BFS of ``are_homotopic`` and ``is_nullhomotopic``
-is the reference.  A ``HomotopySession`` adds memoization: for small domains
-it partitions a whole map space into homotopy classes once, by union-find
-over single-point and frame moves, and answers later queries by table
-lookup, which is what makes the invariant solver practical.  A space with
-more maps than the visited-maps cap is not partitioned; the session then
-closes only the component of each queried map, by frame BFS, and remembers
-every map a capped closure touched, so no map of that component is
-searched again.  Everything else goes through one directed search, whose
-every answer the session keeps: it depends on the two maps and the caps
-alone, so a question asked again is answered as a fresh session would.
+is the reference.  A ``HomotopySession`` adds memoization.  On small
+domains every class question reads one class key per map
+(``class_keys``), which is what makes the invariant solver practical.
+Into a codomain with another core than those below, the key is a class
+root: the session partitions the whole map space into homotopy classes
+once, by union-find over single-point and frame moves, or when the space
+has more maps than the visited-maps cap, closes only the component of each
+queried map, by frame BFS, and remembers every map a capped closure
+touched, so no map of that component is searched again.  Everything else
+goes through one directed search, whose every answer the session keeps: it
+depends on the two maps and the caps alone, so a question asked again is
+answered as a fresh session would.
 
 A point folds onto a neighbour when its other neighbours all neighbour
 that one, and folding until no point folds leaves a core that the codomain
@@ -28,10 +30,11 @@ single point, or a ring of m >= 5 points, a connected image whose every
 point has two neighbours, need no search.  Two of them are homotopic
 exactly when their retractions have the same degree around every cycle
 of the domain, and then a chain of frames follows from the folds and
-from the lifts to the integers.  So the session classifies such a map
-space by degree and answers every directed question on it with a chain
-or a definite no.  On 4 points the rule is false, since C4 contracts, so
-C4 keeps the search engines, as does every other core.
+from the lifts to the integers.  So a map into such a codomain has its
+degrees as its class key, read without enumerating its map space, and
+every directed question on it gets a chain or a definite no, under any
+caps.  On 4 points the rule is false, since C4 contracts, so C4 keeps the
+search engines, as does every other core.
 
 Only plain homotopy is decided here.  Homotopy through every probe map
 is m-homotopic distance zero, which the solver decides.
@@ -573,20 +576,25 @@ def path_space_with_fibration(img, z, caps=DEFAULT_CAPS):
 class HomotopySession:
     """Caches homotopy component structure across many queries.
 
-    For domains of up to ``FLAT_CLASS_LIMIT`` points the first query about
-    a (domain, codomain) pair partitions that whole map space into its
-    homotopy classes: by degree into a codomain that folds to a point or
-    to a ring of at least 5 points, and otherwise by union-find over
+    ``class_keys`` is the one class path, read by ``_decide`` on domains of
+    up to ``FLAT_CLASS_LIMIT`` points and by the product engine: for many
+    maps at once it gives each a key that equals another's exactly when
+    the two are homotopic.  Into a codomain that folds to a point or to a
+    ring of at least 5 points the key is the map's degrees (``_Ring``),
+    kept per map and decided under any caps, with no map space enumerated.
+    Over a full strong product it is the tuple of the coordinate maps'
+    keys.  Into any other codomain it is the class root, the least map of
+    the class (``class_root``): the first root asked for partitions the
+    whole map space into its homotopy classes, by union-find over
     single-point moves, then over frame moves from the maps outside the
-    largest class.  Later queries compare canonical roots, the least map
-    of each class either way.  The session keeps every whole map space it
-    enumerates (``map_space``), so the class table and the product
-    engine's coordinate maps read one enumeration.
-    When the map space has more maps than the visited-maps cap, only the
-    queried component is closed, by frame BFS.  A closure that hits the
-    cap has touched more maps of one component than the cap allows, and a
-    closure from any of them would too, so every map it touched is
-    remembered and later answers None without a search.
+    largest class.  When the map space has more maps than the visited-maps
+    cap, only the queried component is closed, by frame BFS.  A closure
+    that hits the cap has touched more maps of one component than the cap
+    allows, and a closure from any of them would too, so every map it
+    touched is remembered and later answers None without a search.  The
+    session keeps every whole map space it enumerates (``map_space``), so
+    the class table and the product engine's coordinate maps read one
+    enumeration.
 
     Every other question goes to ``_reach``, the one directed search from
     f to g, or with g None to any constant map.  Into a codomain that folds
@@ -604,8 +612,10 @@ class HomotopySession:
 
     ``homotopic`` and ``nullhomotopic`` are both answered by ``_decide``:
     it splits full-product codomains into their factors, accepts at once
-    when the codomain contracts, and otherwise reads the class table or
-    asks ``_reach``.  Both check that their maps are continuous first.
+    when the codomain contracts, asks ``_reach`` on a domain over
+    ``FLAT_CLASS_LIMIT`` points, and otherwise compares degree keys into a
+    codomain with a ring table or reads the class roots.  Both check that
+    their maps are continuous first.
     ``contractible`` asks ``_reach`` whether the identity reaches a
     constant, classifying no map space.  ``homotopy_inverse``
     runs many queries on the one session, so each map space is classified
@@ -624,6 +634,7 @@ class HomotopySession:
         self._chains = {}
         self._dist = {}
         self._rings = {}
+        self._degrees = {}
 
     # -- plumbing
 
@@ -704,16 +715,12 @@ class HomotopySession:
         A space with more maps than the visited-maps cap is marked capped
         instead, with no roots filled in.
 
-        Into a codomain that folds to a point or to a ring of at least 5
-        points, maps are grouped by their degrees (``_Ring``), and the
-        first map of each group in lex order, the least of its class, is
-        its root.  Into any other codomain the classes come from
-        union-find.  Single-point moves are frame moves, so union-find over
-        them gives classes no coarser than the true ones.  Frame moves are
-        then followed only from maps not yet in the largest class.  The
-        frame relation is symmetric, so an edge skipped at both of its ends
-        joins two maps already in the largest class and would merge
-        nothing.
+        The classes come from union-find.  Single-point moves are frame
+        moves, so union-find over them gives classes no coarser than the
+        true ones.  Frame moves are then followed only from maps not yet in
+        the largest class.  The frame relation is symmetric, so an edge
+        skipped at both of its ends joins two maps already in the largest
+        class and would merge nothing.
         """
         key = (domain.key, codomain.key)
         budget = self.caps.max_visited_maps
@@ -724,12 +731,6 @@ class HomotopySession:
             return
         roots = self._roots[key]
         self._partitioned.add(key)
-        ring = self._ring(domain, codomain)
-        if ring is not None:
-            first = {}
-            for v in space:
-                roots[v] = first.setdefault(ring.degrees(ring.lift(v)), v)
-            return
         mg = self._graph(domain, codomain)
         index = {v: i for i, v in enumerate(space)}
         up = list(range(len(space)))
@@ -770,26 +771,39 @@ class HomotopySession:
         key = (domain.key, codomain.key)
         space = self._spaces.get(key)
         if space is None:
-            space = [f.values for f in enumerate_continuous_maps(domain, codomain, cap=cap)]
+            space = list(maps_mod.continuous_value_tuples(domain, codomain, cap=cap))
             self._spaces[key] = space
         elif len(space) > cap:
             raise CapExceeded(f"map enumeration exceeded cap of {cap}",
                               cap_name="max_probe_maps")
         return space
 
-    def class_of(self, f):
-        """Homotopy class of f: its class root, or over a strong product the
-        tuple of its coordinate maps' classes; None when capped."""
-        cod = f.codomain
-        if cod.is_np_full:
-            ids = []
-            for sub in _factor_maps(f):
-                cid = self.class_of(sub)
-                if cid is None:
-                    return None
-                ids.append(cid)
-            return tuple(ids)
-        return self.class_root(f.domain, cod, f.values)
+    def class_keys(self, domain, codomain, values):
+        """The class key of each map from domain to codomain, given by its
+        value tuple: maps have equal keys exactly when they are homotopic.
+        None for a map whose class closure capped.
+
+        Into a codomain that folds to a point or to a ring of at least 5
+        points the key is the map's degrees (``_Ring``), kept per map and
+        decided under any caps.  Over a full strong product it is the tuple
+        of the coordinate maps' keys, and into any other codomain it is the
+        class root.  Callers pass continuous maps."""
+        if codomain.is_np_full:
+            blocks = [tuple(zip(*map(codomain.split_point, v))) for v in values]
+            per_factor = [self.class_keys(domain, factor, [b[k] for b in blocks])
+                          for k, factor in enumerate(codomain.factors)]
+            return [None if None in ids else ids for ids in zip(*per_factor)]
+        ring = self._ring(domain, codomain)
+        if ring is None:
+            return [self.class_root(domain, codomain, v) for v in values]
+        degrees = self._degrees.setdefault((domain.key, codomain.key), {})
+        out = []
+        for v in values:
+            got = degrees.get(v)
+            if got is None:
+                got = degrees[v] = ring.degrees(ring.lift(v))
+            out.append(got)
+        return out
 
     # -- contractibility
 
@@ -908,6 +922,12 @@ class HomotopySession:
         if len(f.domain) > FLAT_CLASS_LIMIT:
             chain = self._reach(f, g)
             return None if chain is None else bool(chain)
+        if self._ring(f.domain, cod) is not None:
+            # Degrees decide under any caps.  The codomain is connected, so
+            # every constant map has the key of the one at f's first value.
+            end = g.values if g is not None else (f.values[0],) * len(f.values)
+            key_f, key_g = self.class_keys(f.domain, cod, (f.values, end))
+            return key_f == key_g
         # Components answer no even where the closure of f would cap.
         if _component_mismatch(f, g) is not None:
             return False
@@ -934,7 +954,7 @@ class HomotopySession:
     def certificate_between(self, f, g):
         """A verifiable certificate for a yes answer, not necessarily
         shortest: the chain that ``_reach`` found.  On small domains the
-        class table answers no first, without a search.  None when the
+        class keys answer no first, without a search.  None when the
         maps are not homotopic or caps prevented a decision."""
         _validate_parallel(f, g)
         if f.values == g.values:

@@ -115,9 +115,8 @@ def projection_map(product, index):
             f"projection index {index} out of range for {len(product.factors)} factors"
         )
     factor = product.factors[index - 1]
-    return DigitalMap(
-        product, factor, {p: product.split_point(p)[index - 1] for p in product.points}
-    )
+    a, b = product._offsets[index - 1]
+    return DigitalMap(product, factor, {p: p[a:b] for p in product.points})
 
 
 def diagonal_map(img, n=2, codomain=None):
@@ -150,13 +149,16 @@ def _search_order(img):
     return order
 
 
-def enumerate_continuous_maps(domain, codomain, *, surjective_only=False, cap=None, order="lex"):
-    """Yield every continuous map, deterministically.
+def continuous_value_tuples(domain, codomain, *, surjective_only=False, cap=None,
+                            order="lex"):
+    """Yield the value tuple, in domain point order, of every continuous
+    map, deterministically; the one enumerator, which
+    ``enumerate_continuous_maps`` wraps.
 
-    ``order='lex'`` yields maps sorted by their value tuple in domain point
-    order; ``order='search'`` uses a neighbor-first point order that prunes
-    faster but yields in an internal order.  Raises CapExceeded after
-    ``cap`` maps have been produced.
+    ``order='lex'`` yields the tuples sorted; ``order='search'`` places
+    points in a neighbor-first order that prunes faster but yields in an
+    internal order.  Raises CapExceeded after ``cap`` tuples have been
+    produced.
     """
     if order == "lex":
         points = list(domain.points)
@@ -171,10 +173,14 @@ def enumerate_continuous_maps(domain, codomain, *, surjective_only=False, cap=No
     # neighbour's value; sorted like targets, so lex order is kept.
     nbhd = {v: codomain.closed_neighborhood(v) for v in targets}
     near = {v: frozenset(c) for v, c in nbhd.items()}
-    anchor, checks = [], []
+    # Per placement step: the point's domain position, and those of its
+    # first placed neighbour and of the other placed ones.
+    slot, anchor, checks = [], [], []
     pos = {p: i for i, p in enumerate(points)}
+    dpos = {p: i for i, p in enumerate(domain.points)}
     for i, p in enumerate(points):
-        earlier = [pos[q] for q in domain.neighbors(p) if pos[q] < i]
+        earlier = [dpos[q] for q in domain.neighbors(p) if pos[q] < i]
+        slot.append(dpos[p])
         anchor.append(earlier[0] if earlier else None)
         checks.append(earlier[1:])
     assign = [None] * n
@@ -190,26 +196,37 @@ def enumerate_continuous_maps(domain, codomain, *, surjective_only=False, cap=No
                 raise CapExceeded(
                     f"map enumeration exceeded cap of {cap}", cap_name="max_probe_maps"
                 )
-            yield DigitalMap(domain, codomain, dict(zip(points, assign)))
+            yield tuple(assign)
             return
         if surjective_only and need - len(used) > n - i:
             return
-        a = anchor[i]
+        a, at = anchor[i], slot[i]
         for v in targets if a is None else nbhd[assign[a]]:
             for j in checks[i]:
                 if v not in near[assign[j]]:
                     break
             else:
-                assign[i] = v
+                assign[at] = v
                 new = v not in used
                 if new:
                     used.add(v)
                 yield from rec(i + 1, used)
                 if new:
                     used.discard(v)
-        assign[i] = None
+        assign[at] = None
 
     yield from rec(0, set())
+
+
+def enumerate_continuous_maps(domain, codomain, *, surjective_only=False, cap=None, order="lex"):
+    """Yield every continuous map, in the order and under the cap of
+    ``continuous_value_tuples``."""
+    points = domain.points
+    for values in continuous_value_tuples(domain, codomain, surjective_only=surjective_only,
+                                          cap=cap, order=order):
+        f = DigitalMap(domain, codomain, dict(zip(points, values)))
+        f._values = values
+        yield f
 
 
 def random_continuous_map(domain, codomain, rng):

@@ -235,6 +235,11 @@ class _Goodness:
         return True
 
     def chain_violation(self, X):
+        """The least point of X whose consecutive images lie in different
+        components of the target; None when there is none, at once when the
+        target is connected."""
+        if self.target.is_connected():
+            return None
         for x in sorted(X):
             if not self.chain_ok_at(x):
                 return x
@@ -364,7 +369,10 @@ class _E2Context:
     identity, or any map on a side no map of the kind goes through.
     Otherwise its label is the one class the kind's maps through its side
     give it.  A pair is good when neither label is "bad" and the two are
-    equal or one is "free".
+    equal or one is "free".  Classes are the homotopy session's class keys
+    (``HomotopySession.class_keys``), asked for a whole side's maps at
+    once: degrees into a codomain that folds to a point or to a ring of at
+    least 5 points, class roots into any other.
 
     Per probe and side, ``_prepare`` takes the coordinate maps and their
     position masks (for each probe point and factor point, the maps sending
@@ -464,30 +472,30 @@ class _E2Context:
 
     def _labels(self, pimg, side, vals):
         """The label of each coordinate map, given by its values, from the
-        probe image into the factor on ``side``."""
+        probe image into the factor on ``side``; classes are the session's
+        class keys."""
         h = self.session.h
 
-        def class_id(cod, values):
-            if cod.is_np_full:
-                cid = h.class_of(DigitalMap(pimg, cod, dict(zip(pimg.points, values))))
-            else:
-                cid = h.class_root(pimg, cod, values)
-            if cid is None:
+        def keys(cod, values):
+            ids = h.class_keys(pimg, cod, values)
+            if None in ids:
                 raise CapExceeded("class closure capped in product engine",
                                   cap_name="max_visited_maps")
-            return cid
+            return ids
 
         if self.tables is None:
             factor = self.universe.factors[side]
-            null = {class_id(factor, (x,) * len(pimg)) for x in factor.points}
-            return ["free" if class_id(factor, v) in null else "bad" for v in vals]
+            null = set(keys(factor, [(x,) * len(pimg) for x in factor.points]))
+            return ["free" if cid in null else "bad" for cid in keys(factor, vals)]
         tables = self.tables[side]
         if not tables:
             return ["free"] * len(vals)
         cod = self.kind.target_image
+        per_table = [keys(cod, [tuple(map(table.__getitem__, v)) for v in vals])
+                     for table in tables]
         labels = []
-        for v in vals:
-            ids = {class_id(cod, tuple(table[x] for x in v)) for table in tables}
+        for ids in zip(*per_table):
+            ids = set(ids)
             labels.append(ids.pop() if len(ids) == 1 else "bad")
         return labels
 

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import dighom
-from dighom import cli, homotopy, maps
+from dighom import cli, maps
 from dighom.lattice import CP, build_image, image_to_json, np_product
 from dighom.maps import constant_map, identity_map, map_to_json
 
@@ -134,10 +134,16 @@ def test_compute_undecided_exits_two(capsys, ring_file):
     assert report["value"] == "undecided"
 
 
-def test_env_caps_force_undecided(capsys, monkeypatch, ring_file):
+def test_env_caps_force_undecided(capsys, monkeypatch, tmp_path):
+    # R8 with a square attached along its edge from (2, 0) to (2, 1) folds
+    # to no ring, so its identity's class needs a closure, which caps; R8
+    # itself is a ring, decided by degrees under any caps.
+    img = build_image(RING8 + [(3, 0), (3, 1)], CP(1), name="R8+square")
+    path = tmp_path / "r8-square.json"
+    path.write_text(json.dumps(image_to_json(img)))
     monkeypatch.setenv(cli.ENV_VISITED, "4")
     monkeypatch.setenv(cli.ENV_PROBE_MAPS, "4")
-    code, out, err = run(capsys, "compute", "cat", "--image", ring_file)
+    code, out, err = run(capsys, "compute", "cat", "--image", str(path))
     assert code == 2
 
 
@@ -370,20 +376,20 @@ def test_workers_below_one_exits_one(capsys, square_file, workers):
 
 def test_verify_suite_enumerates_the_ring_self_map_space_once(capsys, monkeypatch,
                                                               ring_file, r8):
-    # The suite's ring is the family's cycle8, so the class table and both
-    # sides of the product engine read the one space of cycle8 -> R8 maps.
-    # The minimality scans' searches for a failing surjective map are not
-    # enumerations of the space, and are not counted.
+    # The suite's ring is the family's cycle8, so both sides of the product
+    # engine read the one space of cycle8 -> R8 maps.  The minimality
+    # scans' searches for a failing surjective map are not enumerations of
+    # the space, and are not counted.  Every enumeration goes through the
+    # one tuple enumerator.
     calls = Counter()
-    real = maps.enumerate_continuous_maps
+    real = maps.continuous_value_tuples
 
     def counting(domain, codomain, **kwargs):
         if not kwargs.get("surjective_only"):
             calls[(domain.key, codomain.key)] += 1
         return real(domain, codomain, **kwargs)
 
-    monkeypatch.setattr(maps, "enumerate_continuous_maps", counting)
-    monkeypatch.setattr(homotopy, "enumerate_continuous_maps", counting)
+    monkeypatch.setattr(maps, "continuous_value_tuples", counting)
     code, _, _ = run(capsys, "verify-suite", "--image", ring_file)
     assert code == 2
     assert calls[(r8.key, r8.key)] == 1

@@ -18,6 +18,7 @@ from dighom import (
     verify_certificate,
 )
 from dighom import homotopy
+from dighom import maps as maps_mod
 from dighom.errors import CapExceeded, ValidationError
 from dighom.homotopy import (
     CAP,
@@ -340,20 +341,35 @@ def test_session_partition_matches_reference_search(shared_session, pair):
         assert check.ok, check.reason
 
 
-def test_session_over_cap_closes_queried_component(r8, monkeypatch):
-    # 100 visited maps is below the 8 872 continuous self-maps of R8, so the
-    # space is not partitioned; the 8 rotations still form a closable
-    # component, while a null map's component overruns the cap.
+# R8 with a square attached along its edge from (2, 0) to (2, 1).  No point
+# folds, so this core is not a ring and maps into it go through search.
+_R8_SQUARE = build_image(RING8 + [(3, 0), (3, 1)], CP(1), name="R8+square")
+
+
+def _square_turn(shift, sign=1):
+    """The self-map of R8+square that folds the square onto its edge from
+    (2, 0) to (2, 1) and sends ring point i to RING8[shift + sign * i]."""
+    mapping = {p: RING8[(shift + sign * i) % 8] for i, p in enumerate(RING8)}
+    mapping.update({(3, 0): mapping[(2, 0)], (3, 1): mapping[(2, 1)]})
+    return digital_map(_R8_SQUARE, _R8_SQUARE, mapping)
+
+
+def test_session_over_cap_closes_queried_component(monkeypatch):
+    # 100 visited maps is below the 148 412 continuous self-maps of
+    # R8+square, which has no ring table, so the space is not partitioned;
+    # the identity's component of 53 maps still closes, while a null map's
+    # component overruns the cap.
+    img = _R8_SQUARE
     session = HomotopySession(SearchCaps(max_visited_maps=100))
-    ident = identity_map(r8)
-    rot = ring_rotation(r8, 3)
-    assert session.homotopic(ident, rot) is True
-    assert len(session._roots[(r8.key, r8.key)]) == 8
-    assert session.homotopic(ident, ring_reflection(r8)) is False
+    ident = identity_map(img)
+    turned = _square_turn(3)
+    assert session.homotopic(ident, turned) is True
+    assert len(session._roots[(img.key, img.key)]) == 53
+    assert session.homotopic(ident, _square_turn(0, -1)) is False
     assert session.nullhomotopic(ident) is False
-    cert = session.certificate_between(ident, rot)
-    assert cert is not None and verify_certificate(cert, ident, rot).ok
-    null = constant_map(r8, r8, RING8[0])
+    cert = session.certificate_between(ident, turned)
+    assert cert is not None and verify_certificate(cert, ident, turned).ok
+    null = constant_map(img, img, RING8[0])
     searches = []
     real_bfs = homotopy._frame_bfs
 
@@ -362,16 +378,32 @@ def test_session_over_cap_closes_queried_component(r8, monkeypatch):
         return searches[-1]
 
     monkeypatch.setattr(homotopy, "_frame_bfs", counted_bfs)
-    assert session.class_root(r8, r8, null.values) is None
+    assert session.class_root(img, img, null.values) is None
     [(_, parents, _, capped)] = searches
     assert capped
     # Every map the capped search touched lies in the one over-cap
     # component, so no query about any of them searches again.
     other = max(parents)
     assert other != null.values
-    assert session.class_root(r8, r8, other) is None
-    assert session.homotopic(null, constant_map(r8, r8, RING8[4])) is None
+    assert session.class_root(img, img, other) is None
+    assert session.homotopic(null, constant_map(img, img, RING8[4])) is None
     assert len(searches) == 1
+
+
+def test_session_ring_small_domain_decided_under_any_cap(r8, monkeypatch):
+    # 100 visited maps is below the 8 872 continuous self-maps of R8, but
+    # R8 is a ring, so degrees decide: no search and no enumeration.
+    _refuse_searches(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a map space was enumerated")
+
+    monkeypatch.setattr(maps_mod, "continuous_value_tuples", refuse)
+    session = HomotopySession(SearchCaps(max_visited_maps=100))
+    const = constant_map(r8, r8, RING8[0])
+    assert session.homotopic(const, constant_map(r8, r8, RING8[4])) is True
+    assert session.homotopic(identity_map(r8), ring_reflection(r8)) is False
+    assert session.nullhomotopic(ring_rotation(r8, 3)) is False
 
 
 def _racket(tail=4):
@@ -379,11 +411,6 @@ def _racket(tail=4):
     has 12 points, above FLAT_CLASS_LIMIT."""
     return build_image(RING8 + [(2 + i, 1) for i in range(1, tail + 1)], CP(1),
                        name=f"racket{8 + tail}")
-
-
-# R8 with a square attached along its edge from (2, 0) to (2, 1).  No point
-# folds, so this core is not a ring and maps into it go through search.
-_R8_SQUARE = build_image(RING8 + [(3, 0), (3, 1)], CP(1), name="R8+square")
 
 
 def _ring_map(racket, r8, ring_index):
@@ -827,24 +854,25 @@ def _ring_domain_maps(draw):
 @given(space=_ring_spaces(), data=st.data())
 def test_ring_degree_classes_equal_union_find(space, data):
     dom, ring = space
-    key = (dom.key, ring.key)
     caps = SearchCaps(max_visited_maps=_RING_SPACE_LIMIT)
-    const = (ring.points[0],) * len(dom)
     by_degree = HomotopySession(caps)
     assert by_degree._ring(dom, ring) is not None
     try:
         space = by_degree.map_space(dom, ring, _RING_SPACE_LIMIT)
     except CapExceeded:
         reject()
-    by_degree.class_root(dom, ring, const)
+    keys = by_degree.class_keys(dom, ring, space)
     by_search = HomotopySession(caps)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(HomotopySession, "_ring", lambda self, domain, codomain: None)
-        by_search.class_root(dom, ring, const)
-    roots = by_search._roots[key]
-    assert by_degree._roots[key] == roots
+        found = by_search.class_keys(dom, ring, space)
+    # Without a ring table the keys are union-find's class roots.
+    assert found == [by_search._roots[(dom.key, ring.key)][v] for v in space]
+    # Degree keys and roots split the space alike: each key meets one root.
+    assert len(set(keys)) == len(set(found)) == len(set(zip(keys, found)))
     # The ring route of _reach agrees with the union-find classes, and
     # every clamp chain is a certificate.
+    roots = dict(zip(space, found))
     index = st.integers(0, len(space) - 1)
     for _ in range(3):
         f = _map_from_values(dom, ring, space[data.draw(index)])
@@ -857,6 +885,27 @@ def test_ring_degree_classes_equal_union_find(space, data):
                 cert = homotopy._certificate_from_chain(dom, ring, chain)
                 check = verify_certificate(cert, f, target)
                 assert check.ok, check.reason
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=_ring_domain_maps())
+def test_ring_decide_agrees_with_reference_search(pair):
+    # Every domain here has at most 10 points, so _decide reads degree keys;
+    # they decide without a search or an enumeration, even under a cap of
+    # one map.
+    f, g = pair
+    expected = (_reference_homotopic(f, g), is_nullhomotopic(f).decided == YES)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search or an enumeration ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homotopy, "_frame_bfs", refuse)
+        mp.setattr(HomotopySession, "_astar_single_point", refuse)
+        mp.setattr(maps_mod, "continuous_value_tuples", refuse)
+        for caps in (DEFAULT_CAPS, SearchCaps(max_visited_maps=1)):
+            session = HomotopySession(caps)
+            assert (session._decide(f, g), session._decide(f, None)) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from dighom import CP, build_image, np_product
 from dighom.errors import CapExceeded, ValidationError
-from dighom.lattice import Explicit, induced_subimage, interval_image
+from dighom import maps
+from dighom.lattice import Explicit, induced_subimage, interval_image, normalize_edge
 from dighom.maps import (
     compose,
     constant_map,
     continuity_violation,
+    continuous_value_tuples,
     diagonal_map,
     digital_map,
     enumerate_continuous_maps,
@@ -132,6 +134,60 @@ def test_enumeration_stream_is_the_filtered_product(c4, r8):
         assert sorted(search) == want
         onto = [m.values for m in enumerate_continuous_maps(dom, cod, surjective_only=True)]
         assert onto == [vals for vals in want if len(set(vals)) == len(cod)]
+
+
+def _placed_value_tuples(domain, codomain, surjective_only, cap, order):
+    """The enumerator's order by brute force: assignments to the points in
+    placement order (domain order for "lex", ``_search_order`` for
+    "search"), in itertools.product order, kept when continuous (and onto),
+    read back in domain order; CapExceeded on the map after ``cap``."""
+    points = list(domain.points) if order == "lex" else maps._search_order(domain)
+    adj = codomain.adjacent_or_equal
+    produced = 0
+    for values in itertools.product(codomain.points, repeat=len(points)):
+        val = dict(zip(points, values))
+        if not all(adj(val[a], val[b]) for a, b in domain.edges):
+            continue
+        if surjective_only and len(set(values)) < len(codomain):
+            continue
+        produced += 1
+        if cap is not None and produced > cap:
+            raise CapExceeded("cap", cap_name="max_probe_maps")
+        yield tuple(val[p] for p in domain.points)
+
+
+def _drain(stream):
+    """The items of stream, and whether it ended in CapExceeded."""
+    out = []
+    try:
+        for item in stream:
+            out.append(item)
+    except CapExceeded:
+        return out, True
+    return out, False
+
+
+@st.composite
+def _small_images(draw):
+    """One to five points with random edges, possibly disconnected."""
+    n = draw(st.integers(1, 5))
+    pts = [(i,) for i in range(n)]
+    pairs = [(pts[a], pts[b]) for b in range(n) for a in range(b)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
+    return build_image(pts, Explicit(frozenset(normalize_edge(a, b) for a, b in edges)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dom=_small_images(), cod=_small_images(), surjective_only=st.booleans(),
+       order=st.sampled_from(("lex", "search")), cap=st.none() | st.integers(0, 40))
+def test_value_tuples_are_the_enumerated_maps(dom, cod, surjective_only, order, cap):
+    opts = dict(surjective_only=surjective_only, cap=cap, order=order)
+    want = _drain(_placed_value_tuples(dom, cod, **opts))
+    assert _drain(continuous_value_tuples(dom, cod, **opts)) == want
+    got, capped = _drain(enumerate_continuous_maps(dom, cod, **opts))
+    assert ([f.values for f in got], capped) == want
+    for f, values in zip(got, want[0]):
+        assert f.mapping == dict(zip(dom.points, values))
 
 
 def test_enumerate_surjective_filter(i1, c4):

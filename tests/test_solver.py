@@ -279,11 +279,22 @@ def test_infinite_distance_across_components(point):
     assert status == "ok"
 
 
-def test_tiny_caps_turn_undecided(r8):
+def test_tiny_caps_turn_undecided():
+    # R8 with a square attached along its edge from (2, 0) to (2, 1) folds
+    # to no ring, so its identity's class needs a closure, which caps.
+    r8_square = build_image(RING8 + [(3, 0), (3, 1)], CP(1), name="R8+square")
     tiny = SearchCaps(max_visited_maps=6, max_probe_maps=6)
-    rep = compute_invariant("cat", image=r8, caps=tiny)
+    rep = compute_invariant("cat", image=r8_square, caps=tiny)
     assert rep.value is None
     assert rep.cover.caps_hit
+
+
+def test_tiny_caps_decide_cat_of_ring(r8):
+    # R8 is a ring, so degrees decide every piece whatever the caps.
+    tiny = SearchCaps(max_visited_maps=6, max_probe_maps=6)
+    rep = compute_invariant("cat", image=r8, caps=tiny)
+    assert rep.value == 1
+    assert not rep.cover.caps_hit
 
 
 def test_session_caps_are_the_caps(r8, c4, family):
@@ -517,8 +528,8 @@ def test_e2_scan_matches_reference(r8, family):
                 assert g.check(img).status is False, (k, X, img)
         assert seen == {True, False}, k
 
-    # Maps into the full product label their coordinate maps through
-    # ``HomotopySession.class_of``.  (x, y) -> (rot x, rot x) is at distance
+    # Maps into the full product label their coordinate maps by the tuple of
+    # their factors' class keys (``HomotopySession.class_keys``).  (x, y) -> (rot x, rot x) is at distance
     # 0 from (x, y) -> (x, x), and the reflection is at distance 1.
     on_diagonal = functools.partial(compose, diagonal_map(r8))
     pr1 = projection_map(prod, 1)

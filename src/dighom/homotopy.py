@@ -9,10 +9,13 @@ of intermediate frames.
 
 The search state space grows exponentially with the domain, so every
 entry point takes explicit caps and reports "cap-exceeded" rather than
-guessing.  The plain frame BFS of ``are_homotopic`` and ``is_nullhomotopic``
-is the reference.  A ``HomotopySession`` adds memoization.  On small
-domains every class question reads one class key per map
-(``class_keys``), which is what makes the invariant solver practical.
+guessing.  The frame moves of every search are streamed by the placement
+table of ``maps``, which owns their order; the frame BFS owns the
+visited-maps cap, which it charges once per distinct map it touches.  The
+plain frame BFS of ``are_homotopic`` and ``is_nullhomotopic`` is the
+reference.  A ``HomotopySession`` adds memoization.  On small domains
+every class question reads one class key per map (``class_keys``), which
+is what makes the invariant solver practical.
 Into a codomain with another core than those below, the key is a class
 root: the session partitions the whole map space into homotopy classes
 once, by union-find over single-point and frame moves, or when the space
@@ -129,19 +132,30 @@ def one_step_related(f, g):
     return all(adj(f.mapping[p], g.mapping[p]) for p in f.domain.points)
 
 
+def _function_space_adjacency(domain, codomain):
+    """Adjacency of the function space as a test on two value tuples:
+    adjacent-or-equal arguments land on adjacent-or-equal values, across
+    the two maps in both directions."""
+    adj = codomain.adjacent_or_equal
+    pos = {p: i for i, p in enumerate(domain.points)}
+    slots = [(pos[a], pos[b]) for a, b in domain.edges]
+
+    def adjacent(u, v):
+        if not all(map(adj, u, v)):
+            return False
+        for i, j in slots:
+            if not adj(u[i], v[j]) or not adj(u[j], v[i]):
+                return False
+        return True
+
+    return adjacent
+
+
 def function_space_adjacent(f, g):
     """Adjacency of the function space: adjacent-or-equal arguments land on
     adjacent-or-equal values, across the two maps in both directions."""
     _validate_parallel(f, g)
-    adj = f.codomain.adjacent_or_equal
-    fm, gm = f.mapping, g.mapping
-    for p in f.domain.points:
-        if not adj(fm[p], gm[p]):
-            return False
-    for a, b in f.domain.edges:
-        if not adj(fm[a], gm[b]) or not adj(fm[b], gm[a]):
-            return False
-    return True
+    return _function_space_adjacency(f.domain, f.codomain)(f.values, g.values)
 
 
 def verify_certificate(cert, f, g):
@@ -171,76 +185,37 @@ def verify_certificate(cert, f, g):
 
 
 class _MapGraph:
-    """Precomputed tables for searching the space of continuous maps
-    between one fixed pair of images.  States are value tuples in domain
-    point order."""
+    """The moves between the continuous maps from one fixed domain into one
+    fixed codomain.  States are value tuples in domain point order.
+
+    Frame moves are the stream of the one search-order placement table of
+    ``maps`` (``_Placement``), which owns the point order; the visited-maps
+    cap belongs to the search that takes the moves (``_frame_bfs``)."""
 
     def __init__(self, domain, codomain):
         self.domain = domain
         self.codomain = codomain
-        order = maps_mod._search_order(domain)
-        self.n = len(order)
+        self.placement = maps_mod._Placement(domain, codomain, "search")
         dpos = {p: i for i, p in enumerate(domain.points)}
-        self.search_to_domain = [dpos[p] for p in order]
-        spos = {p: i for i, p in enumerate(order)}
-        self.earlier = [
-            [spos[q] for q in domain.neighbors(p) if spos[q] < i]
-            for i, p in enumerate(order)
-        ]
         self.dom_nbr_pos = [
             [dpos[q] for q in domain.neighbors(p)] for p in domain.points
         ]
-        self.closed = {x: codomain.closed_neighborhood(x) for x in codomain.points}
-        self.adj = {x: frozenset(codomain.neighbors(x)) | {x} for x in codomain.points}
 
-    def frame_neighbors(self, values, counter, budget, known=None):
+    def frame_neighbors(self, values):
         """All continuous maps with every point inside the closed
-        neighborhood of its current value; excludes the state itself.
-        Only states absent from `known` are charged against the budget,
-        so the cap measures distinct maps touched, not re-generations."""
-        n = self.n
-        s2d = self.search_to_domain
-        cur = [values[s2d[i]] for i in range(n)]
-        cands = [self.closed[v] for v in cur]
-        earlier = self.earlier
-        adj = self.adj
-        out = [None] * n  # domain-order buffer
-        sbuf = [None] * n
-
-        def rec(i):
-            if i == n:
-                state = tuple(out)
-                if known is None or state not in known:
-                    counter[0] += 1
-                    if counter[0] > budget:
-                        raise CapExceeded(
-                            "homotopy search exceeded the visited-maps cap",
-                            cap_name="max_visited_maps")
-                if state != values:
-                    yield state
-                return
-            for w in cands[i]:
-                ok = True
-                for j in earlier[i]:
-                    if w not in adj[sbuf[j]]:
-                        ok = False
-                        break
-                if ok:
-                    sbuf[i] = w
-                    out[s2d[i]] = w
-                    yield from rec(i + 1)
-
-        yield from rec(0)
+        neighborhood of its current value, in the placement's order;
+        excludes the state itself."""
+        return filter(values.__ne__, self.placement.stream(within=values))
 
     def single_point_moves(self, values):
         """Continuous maps differing from the state at exactly one point."""
-        adj = self.adj
+        nbhd, near = self.placement.nbhd, self.placement.near
         for i, v in enumerate(values):
             nbrs = self.dom_nbr_pos[i]
-            for w in self.closed[v]:
+            for w in nbhd[v]:
                 if w == v:
                     continue
-                if all(w in adj[values[j]] for j in nbrs):
+                if all(w in near[values[j]] for j in nbrs):
                     yield values[:i] + (w,) + values[i + 1 :]
 
 
@@ -285,23 +260,17 @@ class _Ring:
         for x, y in reversed(folds):
             self.index[x] = self.index[y]
         pos = {p: i for i, p in enumerate(domain.points)}
-        # (point, parent) domain positions, every parent before its
-        # children; a root's parent is None.
-        self.forest = []
+        # (point, parent) domain positions in ``maps._search_order``, a BFS
+        # order, where a point's parent is its neighbour placed first, so
+        # every parent comes before its children; a root's parent is None.
+        order = maps_mod._search_order(domain)
+        rank = {p: i for i, p in enumerate(order)}
         parent = {}
-        for root in domain.points:
-            if root in parent:
-                continue
-            parent[root] = None
-            queue = deque([root])
-            while queue:
-                cur = queue.popleft()
-                up = parent[cur]
-                self.forest.append((pos[cur], None if up is None else pos[up]))
-                for nb in domain.neighbors(cur):
-                    if nb not in parent:
-                        parent[nb] = cur
-                        queue.append(nb)
+        for p in order:
+            up = min(domain.neighbors(p), key=rank.__getitem__, default=None)
+            parent[p] = up if up is not None and rank[up] < rank[p] else None
+        self.forest = [(pos[p], None if parent[p] is None else pos[parent[p]])
+                       for p in order]
         self.chords = [(pos[a], pos[b]) for a, b in domain.edges
                        if parent[a] != b and parent[b] != a]
 
@@ -397,29 +366,30 @@ def _frame_bfs(mg, start, targets, caps):
 
     Returns (hit, parents, explored, capped); ``hit is None`` with
     ``capped False`` means the component was exhausted, a definite no.
+    The search owns the visited-maps cap: it caps when the distinct maps
+    it has touched besides start would exceed it, or when it would expand
+    more states than that.
     """
     if start in targets:
         return start, {start: None}, 0, False
     parents = {start: None}
     queue = deque([start])
-    counter = [0]
     budget = caps.max_visited_maps
     explored = 0
-    try:
-        while queue:
-            cur = queue.popleft()
-            explored += 1
-            if explored > budget:
+    while queue:
+        cur = queue.popleft()
+        explored += 1
+        if explored > budget:
+            return None, parents, explored, True
+        for nxt in mg.frame_neighbors(cur):
+            if nxt in parents:
+                continue
+            if len(parents) > budget:
                 return None, parents, explored, True
-            for nxt in mg.frame_neighbors(cur, counter, budget, known=parents):
-                if nxt in parents:
-                    continue
-                parents[nxt] = cur
-                if nxt in targets:
-                    return nxt, parents, explored, False
-                queue.append(nxt)
-    except CapExceeded:
-        return None, parents, explored, True
+            parents[nxt] = cur
+            if nxt in targets:
+                return nxt, parents, explored, False
+            queue.append(nxt)
     return None, parents, explored, False
 
 
@@ -518,26 +488,13 @@ def function_space(domain, codomain, cap=None):
     Returns (maps, space); point (i,) of the space stands for maps[i].
     """
     maps = list(enumerate_continuous_maps(domain, codomain, cap=cap))
-    edge_list = domain.edges
-    adj = codomain.adjacent_or_equal
-    idx = {p: i for i, p in enumerate(domain.points)}
-    epairs = [(idx[a], idx[b]) for a, b in edge_list]
-
-    def fs_adjacent(u, v):
-        for i in range(len(u)):
-            if not adj(u[i], v[i]):
-                return False
-        for i, j in epairs:
-            if not adj(u[i], v[j]) or not adj(u[j], v[i]):
-                return False
-        return True
-
+    adjacent = _function_space_adjacency(domain, codomain)
     points = [(i,) for i in range(len(maps))]
     edges = set()
     vals = [m.values for m in maps]
     for i in range(len(maps)):
         for j in range(i + 1, len(maps)):
-            if fs_adjacent(vals[i], vals[j]):
+            if adjacent(vals[i], vals[j]):
                 edges.add(((i,), (j,)))
     space = DigitalImage(points, lattice.Explicit(frozenset(edges)), edges)
     return maps, space
@@ -576,14 +533,13 @@ def path_space_with_fibration(img, z, caps=DEFAULT_CAPS):
 class HomotopySession:
     """Caches homotopy component structure across many queries.
 
-    ``class_keys`` is the one class path, read by ``_decide`` on domains of
-    up to ``FLAT_CLASS_LIMIT`` points and by the product engine: for many
-    maps at once it gives each a key that equals another's exactly when
-    the two are homotopic.  Into a codomain that folds to a point or to a
-    ring of at least 5 points the key is the map's degrees (``_Ring``),
-    kept per map and decided under any caps, with no map space enumerated.
-    Over a full strong product it is the tuple of the coordinate maps'
-    keys.  Into any other codomain it is the class root, the least map of
+    ``class_keys`` is the one class path, read by ``_decide`` and by the
+    product engine: for many maps at once it gives each a key that equals
+    another's exactly when the two are homotopic.  Into a codomain that
+    folds to a point or to a ring of at least 5 points the key is the
+    map's degrees (``_Ring``), kept per map and decided under any caps,
+    with no map space enumerated.  Over a full strong product it is the
+    tuple of the coordinate maps' keys.  Into any other codomain it is the class root, the least map of
     the class (``class_root``): the first root asked for partitions the
     whole map space into its homotopy classes, by union-find over
     single-point moves, then over frame moves from the maps outside the
@@ -600,22 +556,23 @@ class HomotopySession:
     f to g, or with g None to any constant map.  Into a codomain that folds
     to a point or to a ring of at least 5 points it searches nothing:
     unequal degrees say no, equal ones give a chain of folds and clamps
-    (``_Ring``), under any caps.  Into any other codomain it runs a
-    component check, a single-point-move A* that can only prove yes, and a
-    frame BFS within caps, so there a "no" on a domain over
-    ``FLAT_CLASS_LIMIT`` points comes only from a frame BFS that exhausts
-    the component of f.  Its chain of states is the certificate.  Every
-    answer of ``_reach``, chain, no or capped, is kept and returned again
-    for the same maps.  That is exact: degrees depend on the maps alone,
+    (``_Ring``), under any caps.  ``_decide`` reads degree keys there
+    instead, so only ``certificate_between`` and ``contractible`` build
+    such chains.  Into any other codomain it runs a component check, a
+    single-point-move A* that can only prove yes, and a frame BFS within
+    caps, so there a "no" on a domain over ``FLAT_CLASS_LIMIT`` points
+    comes only from a frame BFS that exhausts the component of f.  Its
+    chain of states is the certificate.  Every answer of ``_reach``, chain,
+    no or capped, is kept and returned again for the same maps.  That is exact: degrees depend on the maps alone,
     and both searches start from f alone, so a kept answer is the one a
     fresh session would give.
 
     ``homotopic`` and ``nullhomotopic`` are both answered by ``_decide``:
     it splits full-product codomains into their factors, accepts at once
-    when the codomain contracts, asks ``_reach`` on a domain over
-    ``FLAT_CLASS_LIMIT`` points, and otherwise compares degree keys into a
-    codomain with a ring table or reads the class roots.  Both check that
-    their maps are continuous first.
+    when the codomain contracts, compares degree keys into a codomain with
+    a ring table on a domain of any size, asks ``_reach`` on a domain over
+    ``FLAT_CLASS_LIMIT`` points, and otherwise reads the class roots.  Both
+    check that their maps are continuous first.
     ``contractible`` asks ``_reach`` whether the identity reaches a
     constant, classifying no map space.  ``homotopy_inverse``
     runs many queries on the one session, so each map space is classified
@@ -723,9 +680,8 @@ class HomotopySession:
         class and would merge nothing.
         """
         key = (domain.key, codomain.key)
-        budget = self.caps.max_visited_maps
         try:
-            space = self.map_space(domain, codomain, budget)
+            space = self.map_space(domain, codomain, self.caps.max_visited_maps)
         except CapExceeded:
             self._capped[key] = set()
             return
@@ -755,10 +711,9 @@ class HomotopySession:
                 union(i, index[w])
         sizes = Counter(find(i) for i in range(len(space)))
         largest = max(sizes, key=sizes.get)
-        counter = [0]
         for i, v in enumerate(space):
             if find(i) != find(largest):
-                for w in mg.frame_neighbors(v, counter, budget, known=index):
+                for w in mg.frame_neighbors(v):
                     union(i, index[w])
         for i, v in enumerate(space):
             roots[v] = space[find(i)]
@@ -919,15 +874,15 @@ class HomotopySession:
             return True
         if len(cod) <= SMALL_CODOMAIN_LIMIT and self.contractible(cod):
             return True
-        if len(f.domain) > FLAT_CLASS_LIMIT:
-            chain = self._reach(f, g)
-            return None if chain is None else bool(chain)
         if self._ring(f.domain, cod) is not None:
             # Degrees decide under any caps.  The codomain is connected, so
             # every constant map has the key of the one at f's first value.
             end = g.values if g is not None else (f.values[0],) * len(f.values)
             key_f, key_g = self.class_keys(f.domain, cod, (f.values, end))
             return key_f == key_g
+        if len(f.domain) > FLAT_CLASS_LIMIT:
+            chain = self._reach(f, g)
+            return None if chain is None else bool(chain)
         # Components answer no even where the closure of f would cap.
         if _component_mismatch(f, g) is not None:
             return False

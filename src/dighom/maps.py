@@ -3,6 +3,11 @@
 A map is continuous when adjacent points land on equal or adjacent points.
 That single condition drives everything here: composition, isomorphism,
 and exhaustive enumeration of the continuous maps between two images.
+
+Every walk over continuous maps but ``random_continuous_map`` streams a
+backtracking placement table (``_Placement``): map spaces, probe maps and
+``homotopy``'s frame moves.  The table owns the point order and a stream
+its enumeration cap; a homotopy search owns its visited-maps cap.
 """
 
 from __future__ import annotations
@@ -149,73 +154,102 @@ def _search_order(img):
     return order
 
 
+class _Placement:
+    """The backtracking table of the continuous maps from one domain into
+    one codomain, built once and streamed many times; streams may
+    interleave.
+
+    Points are placed in domain order (``'lex'``) or ``_search_order``
+    (``'search'``).  Step i places domain position ``slot[i]``, whose
+    placed neighbours are at ``placed[i]``: ``anchor[i]`` first, then
+    ``checks[i]``.  Its candidates are the closed neighbourhood (``nbhd``,
+    ``near`` as sets) of the anchor's value, or every codomain point,
+    less those outside the others'.  Neighbourhoods are sorted like the
+    codomain, so a stream is the filtered itertools.product over the
+    placement order, read back in domain order.
+    """
+
+    def __init__(self, domain, codomain, order="lex"):
+        if order == "lex":
+            points = list(domain.points)
+        elif order == "search":
+            points = _search_order(domain)
+        else:
+            raise ValidationError(f"unknown enumeration order {order!r}")
+        self.n = len(points)
+        self.targets = codomain.points
+        self.nbhd = {v: codomain.closed_neighborhood(v) for v in self.targets}
+        self.near = {v: frozenset(c) for v, c in self.nbhd.items()}
+        pos = {p: i for i, p in enumerate(points)}
+        dpos = {p: i for i, p in enumerate(domain.points)}
+        self.slot = [dpos[p] for p in points]
+        self.placed = [[dpos[q] for q in domain.neighbors(p) if pos[q] < i]
+                       for i, p in enumerate(points)]
+        self.anchor = [earlier[0] if earlier else None for earlier in self.placed]
+        self.checks = [earlier[1:] for earlier in self.placed]
+
+    def stream(self, *, within=None, surjective_only=False, cap=None):
+        """An iterator over the value tuples, in domain order, of every
+        continuous map, or only of those that keep each point within the
+        closed neighbourhood of its value in the tuple ``within``, which is
+        among them.  Raises CapExceeded after ``cap`` tuples."""
+        n, slot, placed = self.n, self.slot, self.placed
+        anchor, checks = self.anchor, self.checks
+        targets, nbhd, near = self.targets, self.nbhd, self.near
+        need = len(targets) if surjective_only else 0
+        assign = [None] * n
+        produced = 0
+
+        def rec(i, used):
+            nonlocal produced
+            if i == n:
+                if surjective_only and len(used) < need:
+                    return
+                produced += 1
+                if cap is not None and produced > cap:
+                    raise CapExceeded(
+                        f"map enumeration exceeded cap of {cap}", cap_name="max_probe_maps"
+                    )
+                yield tuple(assign)
+                return
+            if surjective_only and need - len(used) > n - i:
+                return
+            a, at = anchor[i], slot[i]
+            if within is not None:
+                pool, others = nbhd[within[at]], placed[i]
+            elif a is None:
+                pool, others = targets, ()
+            else:
+                pool, others = nbhd[assign[a]], checks[i]
+            for v in pool:
+                for j in others:
+                    if v not in near[assign[j]]:
+                        break
+                else:
+                    assign[at] = v
+                    if surjective_only and v not in used:
+                        used.add(v)
+                        yield from rec(i + 1, used)
+                        used.discard(v)
+                    else:
+                        yield from rec(i + 1, used)
+
+        return rec(0, set())
+
+
 def continuous_value_tuples(domain, codomain, *, surjective_only=False, cap=None,
                             order="lex"):
-    """Yield the value tuple, in domain point order, of every continuous
-    map, deterministically; the one enumerator, which
-    ``enumerate_continuous_maps`` wraps.
+    """An iterator over the value tuple, in domain point order, of every
+    continuous map, deterministically; the one enumeration of a whole map
+    space, which ``enumerate_continuous_maps`` wraps.
 
     ``order='lex'`` yields the tuples sorted; ``order='search'`` places
     points in a neighbor-first order that prunes faster but yields in an
     internal order.  Raises CapExceeded after ``cap`` tuples have been
     produced.
     """
-    if order == "lex":
-        points = list(domain.points)
-    elif order == "search":
-        points = _search_order(domain)
-    else:
-        raise ValidationError(f"unknown enumeration order {order!r}")
-    n = len(points)
-    targets = codomain.points
-    need = len(codomain) if surjective_only else 0
-    # A point's candidates are the closed neighbourhood of its first placed
-    # neighbour's value; sorted like targets, so lex order is kept.
-    nbhd = {v: codomain.closed_neighborhood(v) for v in targets}
-    near = {v: frozenset(c) for v, c in nbhd.items()}
-    # Per placement step: the point's domain position, and those of its
-    # first placed neighbour and of the other placed ones.
-    slot, anchor, checks = [], [], []
-    pos = {p: i for i, p in enumerate(points)}
-    dpos = {p: i for i, p in enumerate(domain.points)}
-    for i, p in enumerate(points):
-        earlier = [dpos[q] for q in domain.neighbors(p) if pos[q] < i]
-        slot.append(dpos[p])
-        anchor.append(earlier[0] if earlier else None)
-        checks.append(earlier[1:])
-    assign = [None] * n
-    produced = 0
-
-    def rec(i, used):
-        nonlocal produced
-        if i == n:
-            if surjective_only and len(used) < need:
-                return
-            produced += 1
-            if cap is not None and produced > cap:
-                raise CapExceeded(
-                    f"map enumeration exceeded cap of {cap}", cap_name="max_probe_maps"
-                )
-            yield tuple(assign)
-            return
-        if surjective_only and need - len(used) > n - i:
-            return
-        a, at = anchor[i], slot[i]
-        for v in targets if a is None else nbhd[assign[a]]:
-            for j in checks[i]:
-                if v not in near[assign[j]]:
-                    break
-            else:
-                assign[at] = v
-                new = v not in used
-                if new:
-                    used.add(v)
-                yield from rec(i + 1, used)
-                if new:
-                    used.discard(v)
-        assign[at] = None
-
-    yield from rec(0, set())
+    return _Placement(domain, codomain, order).stream(surjective_only=surjective_only,
+                                                      cap=cap)
 
 
 def enumerate_continuous_maps(domain, codomain, *, surjective_only=False, cap=None, order="lex"):

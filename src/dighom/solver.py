@@ -225,24 +225,19 @@ class _Goodness:
 
     # -- small helpers
 
-    def chain_ok_at(self, x):
-        """Pointwise necessary condition: consecutive images share a component."""
-        comp = self.target.component_id
-        ms = self.kind.maps
-        for i in range(len(ms) - 1):
-            if comp(ms[i].mapping[x]) != comp(ms[i + 1].mapping[x]):
-                return False
-        return True
-
     def chain_violation(self, X):
         """The least point of X whose consecutive images lie in different
-        components of the target; None when there is none, at once when the
-        target is connected."""
+        components of the target, a pointwise necessary condition of
+        goodness; None when there is none, at once when the target is
+        connected."""
         if self.target.is_connected():
             return None
+        comp = self.target.component_id
+        ms = self.kind.maps
         for x in sorted(X):
-            if not self.chain_ok_at(x):
-                return x
+            for a, b in zip(ms, ms[1:]):
+                if comp(a.mapping[x]) != comp(b.mapping[x]):
+                    return x
         return None
 
     def nontrivial_probes(self):
@@ -831,10 +826,15 @@ def _greedy_partition(points, bads):
 # --- cover computation routing ---------------------------------------------------
 
 
+def _optimum_exactness(kind):
+    """The exactness of an optimal or undecided cover: the one rule, exact
+    for a plain kind and a family lower bound for an m-kind."""
+    return "lower_bound_family" if kind.is_m else "exact"
+
+
 def _undecided(kind, note):
     """An undecided cover: an m-kind stays a family lower bound."""
-    tag = "lower_bound_family" if kind.is_m else "exact"
-    return CoverResult(None, (), (), tag, True, (note,))
+    return CoverResult(None, (), (), _optimum_exactness(kind), True, (note,))
 
 
 def _refinement_cover(kind, g, mode, bads):
@@ -865,11 +865,10 @@ def _refinement_cover(kind, g, mode, bads):
             if res.status is False:
                 failures.append(images)
         if not failures:
-            # The one exactness rule.  A greedy or capped partition is an
-            # upper bound; an optimal one is exact, or a family lower bound
-            # for m-kinds.
+            # A greedy or capped partition is an upper bound; an optimal one
+            # is exact, or a family lower bound for m-kinds.
             notes = ()
-            exactness = "lower_bound_family" if kind.is_m else "exact"
+            exactness = _optimum_exactness(kind)
             if capped_any or mode == "greedy":
                 exactness = "upper_bound"
                 if capped_any:
@@ -912,8 +911,7 @@ def _route_cover(kind, session, mode, exact_cap):
     contractible = session.h.contractible(kind.target_image)
     if contractible:
         wits = ({"piece": 0, "size": len(pts), "note": "contractible target"},)
-        exactness = "lower_bound_family" if kind.is_m else "exact"
-        return CoverResult(0, (tuple(pts),), wits, exactness, False)
+        return CoverResult(0, (tuple(pts),), wits, _optimum_exactness(kind), False)
     bad_x = g.chain_violation(pts)
     if bad_x is not None:
         return CoverResult(

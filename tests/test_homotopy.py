@@ -947,3 +947,65 @@ def test_four_point_ring_keeps_union_find_and_astar(i2, monkeypatch):
     ident = identity_map(c4)
     assert session.class_root(c4, c4, ident.values) == min(session._spaces[(c4.key, c4.key)])
     assert moves
+
+
+# The 5x3 grid without its point (1, 1).
+_GRID_HOLE = build_image([(x, y) for x in range(5) for y in range(3) if (x, y) != (1, 1)],
+                         CP(1), name="grid-hole")
+
+
+@st.composite
+def _frame_starts(draw):
+    """A map to take frame moves from: from C4, R8, R8+square, the 9-point
+    racket or a connected piece of the one-hole grid, into C4, R8,
+    R8+square or the one-hole grid.  Only domains of at most 6 points go
+    into the grid, and domains over 8 points only into C4 or R8, so the
+    oracle's product stays small."""
+    dom = draw(st.sampled_from(("piece", _C4, _R8, _R8_SQUARE, _racket(1))))
+    if dom == "piece":
+        points = draw(st.sets(st.sampled_from(_GRID_HOLE.points), min_size=1, max_size=6))
+        dom = induced_subimage(_GRID_HOLE, induced_subimage(_GRID_HOLE, points).components()[0])
+    cods = (_C4, _R8) if len(dom) > 8 else (_C4, _R8, _R8_SQUARE)
+    if len(dom) <= 6:
+        cods += (_GRID_HOLE,)
+    cod = draw(st.sampled_from(cods))
+    return random_continuous_map(dom, cod, random.Random(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_frame_starts())
+def test_frame_moves_are_the_filtered_product(f):
+    """The frame moves from f are the continuous maps g with g(p) in the
+    closed neighbourhood of f(p) at every point p, f excluded, in
+    itertools.product order over those neighbourhoods in ``_search_order``
+    (sorted, so the order of the product over all codomain points),
+    read back in domain order."""
+    dom, cod = f.domain, f.codomain
+    order = maps_mod._search_order(dom)
+    index = {p: i for i, p in enumerate(order)}
+    edges = [(index[a], index[b]) for a, b in dom.edges]
+    back = [index[p] for p in dom.points]
+    want = []
+    for vals in itertools.product(*(cod.closed_neighborhood(f.mapping[p]) for p in order)):
+        if all(cod.adjacent_or_equal(vals[i], vals[j]) for i, j in edges):
+            g = tuple(vals[i] for i in back)
+            if g != f.values:
+                want.append(g)
+    assert list(homotopy._MapGraph(dom, cod).frame_neighbors(f.values)) == want
+
+
+def test_frame_bfs_cap_boundary():
+    # The component of this path of [0, 2] in R8+square holds 104 maps.  A
+    # closure exhausts it at cap 104, caps at every smaller cap, and never
+    # touches more maps besides its start than the cap.
+    mg = homotopy._MapGraph(interval_image(0, 2), _R8_SQUARE)
+    start = ((0, 0), (1, 0), (2, 0))
+    hit, parents, explored, capped = homotopy._frame_bfs(
+        mg, start, (), SearchCaps(max_visited_maps=104))
+    assert (hit, len(parents), explored, capped) == (None, 104, 104, False)
+    component = set(parents)
+    for cap in range(1, 104):
+        hit, parents, _, capped = homotopy._frame_bfs(
+            mg, start, (), SearchCaps(max_visited_maps=cap))
+        assert hit is None and capped
+        assert len(parents) - 1 <= cap and set(parents) <= component

@@ -190,6 +190,37 @@ def test_value_tuples_are_the_enumerated_maps(dom, cod, surjective_only, order, 
         assert f.mapping == dict(zip(dom.points, values))
 
 
+def _round_robin(streams):
+    """The items of each stream, drawn one at a time from each in turn."""
+    out = [[] for _ in streams]
+    live = list(enumerate(streams))
+    while live:
+        for entry in list(live):
+            k, stream = entry
+            item = next(stream, None)
+            if item is None:
+                live.remove(entry)
+            else:
+                out[k].append(item)
+    return out
+
+
+def test_interleaved_streams_of_one_placement_equal_separate_ones(r8):
+    """One placement table serves every frame move of a search, so streams
+    drawn from it in turn must not share an assignment."""
+    cod = build_image(RING8 + [(3, 0), (3, 1)], CP(1), name="R8+square")
+    rng = random.Random(4)
+    f, g = (random_continuous_map(r8, cod, rng).values for _ in range(2))
+    asks = [dict(within=f), dict(), dict(within=g)]
+    table = maps._Placement(r8, cod, "search")
+    together = _round_robin([table.stream(**ask) for ask in asks])
+    apart = [list(maps._Placement(r8, cod, "search").stream(**ask)) for ask in asks]
+    assert together == apart
+    assert f in together[0] and g in together[2]
+    assert set(together[0]) == {v for v in together[1]
+                                if all(map(cod.adjacent_or_equal, v, f))}
+
+
 def test_enumerate_surjective_filter(i1, c4):
     surj = list(enumerate_continuous_maps(i1, c4, surjective_only=True))
     # Two points can never cover four.

@@ -333,6 +333,22 @@ class _Ring:
         m = len(self.order)
         return tuple((lift[v] - lift[u] + m // 2) // m for u, v in self.chords)
 
+    def column_degrees(self, columns, index):
+        """``degrees(lift(v))`` of every map v of a space at once.  The
+        space is given by its columns, per domain point each map's value
+        there as a position into ``index``, the ring index of each value;
+        the lift takes one list pass per forest edge, the degrees one per
+        chord."""
+        m = len(self.order)
+        half = m // 2
+        lift = [list(map(index.__getitem__, col)) for col in columns]
+        for i, up in self.forest:
+            if up is not None:
+                lift[i] = [b + (x - b + half) % m - half for b, x in zip(lift[up], lift[i])]
+        jumps = [[(y - x + half) // m for x, y in zip(lift[u], lift[v])]
+                 for u, v in self.chords]
+        return list(zip(*jumps)) if jumps else [()] * len(columns[0])
+
     def _folding(self, values):
         """The frames from the map with these values to its retraction
         onto the core, one for each fold that moves a value."""
@@ -537,20 +553,23 @@ class HomotopySession:
     product engine: for many maps at once it gives each a key that equals
     another's exactly when the two are homotopic.  Into a codomain that
     folds to a point or to a ring of at least 5 points the key is the
-    map's degrees (``_Ring``), kept per map and decided under any caps,
-    with no map space enumerated.  Over a full strong product it is the
-    tuple of the coordinate maps' keys.  Into any other codomain it is the class root, the least map of
-    the class (``class_root``): the first root asked for partitions the
-    whole map space into its homotopy classes, by union-find over
-    single-point moves, then over frame moves from the maps outside the
-    largest class.  When the map space has more maps than the visited-maps
-    cap, only the queried component is closed, by frame BFS.  A closure
-    that hits the cap has touched more maps of one component than the cap
-    allows, and a closure from any of them would too, so every map it
-    touched is remembered and later answers None without a search.  The
-    session keeps every whole map space it enumerates (``map_space``), so
-    the class table and the product engine's coordinate maps read one
-    enumeration.
+    map's degrees (``_Ring``), decided under any caps with no map space
+    enumerated.  Degrees are kept per map for the short lists of
+    ``_decide``, and per column for whole spaces: ``space_keys`` lifts a
+    kept space by its columns (``space_columns``) and keeps one key column
+    per value table.  Over a full strong product the key is the tuple of
+    the coordinate maps' keys.  Into any other codomain it is the class
+    root, the least map of the class (``class_root``): the first root
+    asked for partitions the whole map space into its homotopy classes, by
+    union-find over single-point moves, then over frame moves from the
+    maps outside the largest class.  When the map space has more maps than
+    the visited-maps cap, only the queried component is closed, by frame
+    BFS.  A closure that hits the cap has touched more maps of one
+    component than the cap allows, and a closure from any of them would
+    too, so every map it touched is remembered and later answers None
+    without a search.  The session keeps every whole map space it
+    enumerates (``map_space``), so the class table and the product
+    engine's coordinate maps read one enumeration.
 
     Every other question goes to ``_reach``, the one directed search from
     f to g, or with g None to any constant map.  Into a codomain that folds
@@ -563,20 +582,20 @@ class HomotopySession:
     caps, so there a "no" on a domain over ``FLAT_CLASS_LIMIT`` points
     comes only from a frame BFS that exhausts the component of f.  Its
     chain of states is the certificate.  Every answer of ``_reach``, chain,
-    no or capped, is kept and returned again for the same maps.  That is exact: degrees depend on the maps alone,
-    and both searches start from f alone, so a kept answer is the one a
-    fresh session would give.
+    no or capped, is kept and returned again for the same maps.  That is
+    exact: degrees depend on the maps alone, and both searches start from
+    f alone, so a kept answer is the one a fresh session would give.
 
     ``homotopic`` and ``nullhomotopic`` are both answered by ``_decide``:
     it splits full-product codomains into their factors, accepts at once
     when the codomain contracts, compares degree keys into a codomain with
     a ring table on a domain of any size, asks ``_reach`` on a domain over
     ``FLAT_CLASS_LIMIT`` points, and otherwise reads the class roots.  Both
-    check that their maps are continuous first.
-    ``contractible`` asks ``_reach`` whether the identity reaches a
-    constant, classifying no map space.  ``homotopy_inverse``
-    runs many queries on the one session, so each map space is classified
-    once per harness.
+    check that their maps are continuous first.  ``contractible`` asks
+    ``_reach`` whether the identity reaches a constant, classifying no map
+    space, and keeps the answer per image.  ``homotopy_inverse`` runs many
+    queries on the one session, so each map space is classified once per
+    harness.
 
     Not thread-safe; share one session per computation, not across threads.
     """
@@ -592,6 +611,9 @@ class HomotopySession:
         self._dist = {}
         self._rings = {}
         self._degrees = {}
+        self._columns = {}
+        self._key_columns = {}
+        self._contractible = {}
 
     # -- plumbing
 
@@ -733,6 +755,40 @@ class HomotopySession:
                               cap_name="max_probe_maps")
         return space
 
+    def space_columns(self, domain, codomain):
+        """The kept space of ``map_space`` read by columns: per domain
+        point, the position in ``codomain.points`` of every map's value
+        there, in the space's order.  Built once per session."""
+        key = (domain.key, codomain.key)
+        columns = self._columns.get(key)
+        if columns is None:
+            pos = {p: i for i, p in enumerate(codomain.points)}
+            columns = [list(map(pos.__getitem__, col)) for col in zip(*self._spaces[key])]
+            self._columns[key] = columns
+        return columns
+
+    def space_keys(self, domain, factor, codomain, table):
+        """The class key of every map of the kept space from domain into
+        factor after the value table ``table``, the codomain point of each
+        point of ``factor.points``, in the space's order; ``class_keys``
+        for the whole space at once, kept per session.  With a ring table
+        the space is lifted by columns (``_Ring.column_degrees``); into any
+        other codomain each composite goes to ``class_keys``."""
+        key = (domain.key, factor.key, codomain.key, table)
+        keys = self._key_columns.get(key)
+        if keys is None:
+            ring = None if codomain.is_np_full else self._ring(domain, codomain)
+            if ring is None:
+                through = dict(zip(factor.points, table))
+                keys = self.class_keys(domain, codomain, [
+                    tuple(map(through.__getitem__, v))
+                    for v in self._spaces[(domain.key, factor.key)]])
+            else:
+                keys = ring.column_degrees(self.space_columns(domain, factor),
+                                           [ring.index[b] for b in table])
+            self._key_columns[key] = keys
+        return keys
+
     def class_keys(self, domain, codomain, values):
         """The class key of each map from domain to codomain, given by its
         value tuple: maps have equal keys exactly when they are homotopic.
@@ -766,15 +822,17 @@ class HomotopySession:
         """Whether the identity of img is nullhomotopic; None when capped.
         A full normal product contracts exactly when every factor does; any
         other image costs one ``_reach``, not a classified map space, and
-        only the first time, since ``_reach`` keeps its answers."""
+        only the first time: its answer is kept per image."""
         if img.is_np_full and len(img.factors) > 1:
             for factor in img.factors:
                 result = self.contractible(factor)
                 if not result:
                     return result
             return True
-        chain = self._reach(identity_map(img), None)
-        return None if chain is None else bool(chain)
+        if img.key not in self._contractible:
+            chain = self._reach(identity_map(img), None)
+            self._contractible[img.key] = None if chain is None else bool(chain)
+        return self._contractible[img.key]
 
     # -- the one directed search
 

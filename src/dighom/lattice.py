@@ -424,8 +424,7 @@ def np_product(images, m, name=""):
         raise ValidationError(f"np product m={m} out of range for {len(imgs)} factors")
     dims = tuple(f.dim for f in imgs)
     spec = NP(tuple(f.spec for f in imgs), m, dims)
-    points = [tuple(c for blk in combo for c in blk)
-              for combo in iterproduct(*(f.points for f in imgs))]
+    points = [sum(combo, ()) for combo in iterproduct(*(f.points for f in imgs))]
     return DigitalImage(points, spec, None, factors=imgs, np_m=m, name=name)
 
 

@@ -6,8 +6,9 @@ and exhaustive enumeration of the continuous maps between two images.
 
 Every walk over continuous maps but ``random_continuous_map`` streams a
 backtracking placement table (``_Placement``): map spaces, probe maps and
-``homotopy``'s frame moves.  The table owns the point order and a stream
-its enumeration cap; a homotopy search owns its visited-maps cap.
+``homotopy``'s frame moves.  The table owns the point order, and each of
+its streams owns its enumeration cap; a homotopy search owns its
+visited-maps cap.
 """
 
 from __future__ import annotations
@@ -20,15 +21,18 @@ from .lattice import image_from_json, image_to_json, np_product
 
 
 class DigitalMap:
-    """A total function between the point sets of two images."""
+    """A total function between the point sets of two images.  Its mapping
+    is not changed once the map is built, so its values and hash are
+    computed once."""
 
-    __slots__ = ("domain", "codomain", "mapping", "_values")
+    __slots__ = ("domain", "codomain", "mapping", "_values", "_hash")
 
     def __init__(self, domain, codomain, mapping):
         self.domain = domain
         self.codomain = codomain
         self.mapping = mapping
         self._values = None
+        self._hash = None
 
     def __call__(self, p):
         try:
@@ -53,7 +57,9 @@ class DigitalMap:
         )
 
     def __hash__(self):
-        return hash((self.domain.points, self.codomain.points, self.values))
+        if self._hash is None:
+            self._hash = hash((self.domain.points, self.codomain.points, self.values))
+        return self._hash
 
     def __repr__(self):
         return f"<DigitalMap {len(self.domain)}->{len(self.codomain)} points>"

@@ -162,18 +162,18 @@ class SolverSession:
     def coordinate_maps(self, probe_image, factor, cap):
         """The continuous maps from a probe image into a factor, lex-ordered
         as the homotopy session keeps them, and their position masks: bit i
-        of ``at[t][a]`` is set when map i sends probe point t to a.  Both
-        are built once per session; more than ``cap`` maps raise
-        CapExceeded."""
+        of ``at[t][a]`` is set when map i sends probe point t to a.  The
+        masks are built by columns: one buffer per probe point and factor
+        point, read as an int once (``_column_masks``).  Both are built
+        once per session and shared by both sides of every kind; more than
+        ``cap`` maps raise CapExceeded."""
         vals = self.h.map_space(probe_image, factor, cap)
         key = (probe_image.key, factor.key)
         at = self._positions.get(key)
         if at is None:
-            at = [{} for _ in probe_image.points]
-            for i, v in enumerate(vals):
-                bit = 1 << i
-                for at_t, a in zip(at, v):
-                    at_t[a] = at_t.get(a, 0) | bit
+            points = factor.points
+            at = [{points[c]: mask for c, mask in _column_masks(col).items()}
+                  for col in self.h.space_columns(probe_image, factor)]
             self._positions[key] = at
         return vals, at
 
@@ -365,16 +365,21 @@ class _E2Context:
     Otherwise its label is the one class the kind's maps through its side
     give it.  A pair is good when neither label is "bad" and the two are
     equal or one is "free".  Classes are the homotopy session's class keys
-    (``HomotopySession.class_keys``), asked for a whole side's maps at
-    once: degrees into a codomain that folds to a point or to a ring of at
-    least 5 points, class roots into any other.
+    for a whole side's space at once (``HomotopySession.space_keys``):
+    degrees into a codomain that folds to a point or to a ring of at least
+    5 points, class roots into any other.
 
-    Per probe and side, ``_prepare`` takes the coordinate maps and their
-    position masks (for each probe point and factor point, the maps sending
-    one to the other) from the session, which builds them once per (probe,
-    factor) and shares them between both sides and every kind.  It then
+    Every table is built by columns and shared.  Per probe and side,
+    ``_prepare`` takes the coordinate maps and their position masks (for
+    each probe point and factor point, the maps sending one to the other)
+    from the session, which builds them once per (probe, factor) and
+    shares them between both sides and every kind.  The key column of a
+    side is kept by the homotopy session per (probe, factor, codomain,
+    value table), so the identity and the projections, which label one
+    space through the identity table, lift it once.  ``_prepare`` then
     groups the side-2 maps by label; the side-1 partners that fail with a
-    group are one mask, fixed by the label.
+    group are one mask, fixed by the label.  Label masks come from the
+    same column-mask helper as the position masks (``_column_masks``).
 
     ``scan`` finds the failing side-2 maps of each group from its smaller
     side.  When the fail mask holds fewer side-1 maps than the group has
@@ -389,8 +394,8 @@ class _E2Context:
     def __init__(self, kind, session, tables):
         self.kind = kind
         self.session = session
-        # Per side, the value tables of the kind's maps through it; None
-        # for the identity.
+        # Per side, the value tables of the kind's maps through it, each the
+        # image of every factor point in order; None for the identity.
         self.tables = tables
         self.universe = kind.universe_image
         self.probes = []
@@ -428,9 +433,7 @@ class _E2Context:
             vals1, at1 = self.session.coordinate_maps(pimg, factor1, cap)
             vals2, at2 = self.session.coordinate_maps(pimg, factor2, cap)
             labels1 = self._labels(pimg, 0, vals1)
-            by_label = {}
-            for i, label in enumerate(labels1):
-                by_label[label] = by_label.get(label, 0) | (1 << i)
+            by_label = _column_masks(labels1)
             # The side-1 partners that fail with each side-2 label, one
             # shared mask per label: a class fails with every label that
             # is neither "free" nor that class.
@@ -442,9 +445,10 @@ class _E2Context:
             # Sides over one factor that the kind treats alike label alike.
             if factor1.key == factor2.key and (
                     self.tables is None or self.tables[0] == self.tables[1]):
-                labels2 = labels1
+                labels2, group_masks = labels1, by_label
             else:
                 labels2 = self._labels(pimg, 1, vals2)
+                group_masks = _column_masks(labels2)
             group_of = {}
             for j, label in enumerate(labels2):
                 group_of.setdefault(label, []).append(j)
@@ -460,38 +464,38 @@ class _E2Context:
                 if not mask:
                     continue
                 if mask.bit_count() < len(js):
-                    groups.append((sum(1 << j for j in js), list(_bits(mask)), None))
+                    groups.append((group_masks[label], list(_bits(mask)), None))
                 else:
                     groups.append((mask, None, js))
             self.probes.append((vals1, at1, vals2, at2, fail, groups))
 
     def _labels(self, pimg, side, vals):
-        """The label of each coordinate map, given by its values, from the
-        probe image into the factor on ``side``; classes are the session's
-        class keys."""
+        """The label of each coordinate map from the probe image into the
+        factor on ``side``, in the order of ``vals``, the session's kept
+        space; classes are the session's key columns of that space."""
         h = self.session.h
+        factor = self.universe.factors[side]
 
-        def keys(cod, values):
-            ids = h.class_keys(pimg, cod, values)
+        def checked(ids):
             if None in ids:
                 raise CapExceeded("class closure capped in product engine",
                                   cap_name="max_visited_maps")
             return ids
 
+        def keys(cod, table):
+            return checked(h.space_keys(pimg, factor, cod, table))
+
         if self.tables is None:
-            factor = self.universe.factors[side]
-            null = set(keys(factor, [(x,) * len(pimg) for x in factor.points]))
-            return ["free" if cid in null else "bad" for cid in keys(factor, vals)]
+            null = set(checked(h.class_keys(pimg, factor,
+                                            [(x,) * len(pimg) for x in factor.points])))
+            return ["free" if cid in null else "bad" for cid in keys(factor, factor.points)]
         tables = self.tables[side]
         if not tables:
             return ["free"] * len(vals)
         cod = self.kind.target_image
-        per_table = [keys(cod, [tuple(map(table.__getitem__, v)) for v in vals])
-                     for table in tables]
-        labels = []
-        for ids in zip(*per_table):
-            ids = set(ids)
-            labels.append(ids.pop() if len(ids) == 1 else "bad")
+        labels = keys(cod, tables[0])
+        for table in tables[1:]:
+            labels = [a if a == b else "bad" for a, b in zip(labels, keys(cod, table))]
         return labels
 
     def scan(self, X):
@@ -549,6 +553,21 @@ def _bits(mask):
         mask ^= low
 
 
+def _column_masks(column):
+    """Per value of column, the mask whose bit i is set when column[i]
+    holds it.  Each run of up to 255 values codes the column into one byte
+    buffer, last entry first, and each value reads its mask from that
+    buffer as a base-2 int once."""
+    masks = {}
+    values = list(dict.fromkeys(column))
+    for start in range(0, len(values), 255):
+        code = {x: c for c, x in enumerate(values[start:start + 255])}
+        buf = bytes(map(code.get, reversed(column), itertools.repeat(255)))
+        for x, c in code.items():
+            masks[x] = int(buf.translate(b"0" * c + b"1" + b"0" * (255 - c)), 2)
+    return masks
+
+
 def _piece_masks(at, groups):
     """Per probe point t, the OR of ``at[t][a]`` over each group's points a."""
     out = []
@@ -564,7 +583,9 @@ def _piece_masks(at, groups):
 
 
 def _factors_through(h, product):
-    """If h depends on only one coordinate block, return (side, value table)."""
+    """If h depends on only one coordinate block, return (side, value
+    table), the table giving the image of each point of that side's factor
+    in order."""
     for side in range(2):
         table = {}
         for u in product.points:
@@ -572,7 +593,7 @@ def _factors_through(h, product):
             if table.setdefault(product.split_point(u)[side], v) != v:
                 break
         else:
-            return side, table
+            return side, tuple(map(table.__getitem__, product.factors[side].points))
     return None
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import dighom
-from dighom import cli, maps
+from dighom import cli, homotopy, maps
 from dighom.lattice import CP, build_image, image_to_json, np_product
 from dighom.maps import constant_map, identity_map, map_to_json
 
@@ -393,3 +393,27 @@ def test_verify_suite_enumerates_the_ring_self_map_space_once(capsys, monkeypatc
     code, _, _ = run(capsys, "verify-suite", "--image", ring_file)
     assert code == 2
     assert calls[(r8.key, r8.key)] == 1
+
+
+def test_verify_suite_lifts_the_ring_self_map_space_once(capsys, monkeypatch, ring_file):
+    # cat_m(AxA) labels the cycle8 -> R8 space through the identity and
+    # TC^m through the projections, both the identity table, so they read
+    # one key column: the space is lifted by columns once.  The maps lifted
+    # one at a time are those of _decide's short lists.
+    by_columns, per_map = [], Counter()
+    real_columns, real_lift = homotopy._Ring.column_degrees, homotopy._Ring.lift
+
+    def column_degrees(self, columns, index):
+        by_columns.append((len(columns), len(columns[0])))
+        return real_columns(self, columns, index)
+
+    def lift(self, values, near=None):
+        per_map[len(values)] += 1
+        return real_lift(self, values, near)
+
+    monkeypatch.setattr(homotopy._Ring, "column_degrees", column_degrees)
+    monkeypatch.setattr(homotopy._Ring, "lift", lift)
+    code, _, _ = run(capsys, "verify-suite", "--image", ring_file)
+    assert code == 2
+    assert by_columns == [(8, 8872)]
+    assert per_map[8] < 100

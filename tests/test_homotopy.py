@@ -887,6 +887,29 @@ def test_ring_degree_classes_equal_union_find(space, data):
                 assert check.ok, check.reason
 
 
+@settings(max_examples=50, deadline=None)
+@given(space=_ring_spaces(), data=st.data())
+def test_space_key_columns_equal_per_map_degrees(space, data):
+    dom, cod = space
+    session = HomotopySession()
+    try:
+        maps = session.map_space(dom, cod, _RING_SPACE_LIMIT)
+    except CapExceeded:
+        reject()
+    ring = session._ring(dom, cod)
+    assert session.space_keys(dom, cod, cod, cod.points) == [
+        ring.degrees(ring.lift(v)) for v in maps]
+    # Through a random continuous value table into another codomain that
+    # folds to a point or to a ring.
+    target = _folding_codomain(data.draw, _RINGS[data.draw(st.integers(5, 12))])
+    table = random_continuous_map(cod, target, random.Random(data.draw(st.integers(0, 2**32))))
+    composites = [tuple(map(table.mapping.__getitem__, v)) for v in maps]
+    tring = session._ring(dom, target)
+    keys = session.space_keys(dom, cod, target, table.values)
+    assert keys == [tring.degrees(tring.lift(v)) for v in composites]
+    assert keys == session.class_keys(dom, target, composites)
+
+
 @settings(max_examples=30, deadline=None)
 @given(pair=_ring_domain_maps())
 def test_ring_decide_agrees_with_reference_search(pair):

@@ -32,8 +32,9 @@ from dighom import (
     verify_report,
 )
 from dighom import homotopy
+from dighom import maps as maps_mod
 from dighom.errors import CapExceeded, ValidationError
-from dighom.lattice import CP, build_image, interval_image, np_product
+from dighom.lattice import CP, Explicit, build_image, interval_image, np_product
 from dighom.maps import (
     compose,
     constant_map,
@@ -48,6 +49,7 @@ from dighom.probes import ProbeFamily, standard_m2
 from dighom.solver import (
     HARVEST_CAP,
     N1_CONVENTION_NOTE,
+    _column_masks,
     _refinement_cover,
     _scan_bad_sets,
     suite_to_json,
@@ -490,6 +492,50 @@ def test_e2_scan_harvest_matches_per_map_reference(r8, family, session):
             assert got == _per_map_scan(e2, X), (k, len(X))
             full += len(got) == HARVEST_CAP
     assert full == 2 * len(kinds)
+
+
+def _per_bit_positions(vals, n):
+    """Reference position masks: one OR per map and probe point."""
+    at = [{} for _ in range(n)]
+    for i, v in enumerate(vals):
+        for at_t, a in zip(at, v):
+            at_t[a] = at_t.get(a, 0) | (1 << i)
+    return at
+
+
+_LONG_PATH = interval_image(0, 299)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_coordinate_masks_equal_per_bit_reference(family, data):
+    # The family's probes into random images of up to 7 points (3 for
+    # cycle8, whose spaces grow fastest), or its point and interval2 into a
+    # 300-point path, whose columns hold more than 255 values.
+    probe = data.draw(st.sampled_from(family.complexes)).image
+    if len(probe) <= 2 and data.draw(st.booleans()):
+        factor = _LONG_PATH
+    else:
+        n = data.draw(st.integers(1, 7 if len(probe) <= 4 else 3))
+        pairs = [((a,), (b,)) for b in range(n) for a in range(b)]
+        edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        factor = build_image([(i,) for i in range(n)], Explicit(frozenset(edges)))
+    vals, at = SolverSession(DEFAULT_CAPS).coordinate_maps(probe, factor, 10_000)
+    assert vals == sorted(maps_mod.continuous_value_tuples(probe, factor))
+    assert at == _per_bit_positions(vals, len(probe))
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 700), n=st.integers(0, 3000), seed=st.integers(0, 2**32))
+def test_column_masks_equal_per_bit_reference(k, n, seed):
+    # Labels mix strings and tuples; over 255 values take several runs.
+    values = ["free", "bad"] + [(i,) for i in range(k)]
+    rng = random.Random(seed)
+    column = [rng.choice(values) for _ in range(n)]
+    want = {}
+    for i, x in enumerate(column):
+        want[x] = want.get(x, 0) | (1 << i)
+    assert _column_masks(column) == want
 
 
 def test_e2_scan_matches_reference(r8, family):
